@@ -24,7 +24,7 @@ schedule for any iteration count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro._types import Op
 from repro.core.schedule import Placement, Schedule
@@ -224,6 +224,35 @@ class Pattern:
             processors=self.processors,
         )
 
+    def _unrolled(
+        self, iterations: int
+    ) -> Iterator[tuple[Op, int, int, int]]:
+        """``(op, proc, start, latency)`` of every placement in ``[0, N)``.
+
+        The expansion order: the prelude, then kernel repetition ``r``
+        shifted ``r * period`` cycles and ``r * iter_shift``
+        iterations — the modulo-schedule view of the pattern, with
+        period ``H`` as its initiation interval.  Instances at
+        iterations ``>= iterations`` are dropped.
+        """
+        if iterations < 0:
+            raise SchedulingError("iterations must be >= 0")
+        for p in self.prelude:
+            if p.op.iteration < iterations:
+                yield p.op, p.proc, p.start, p.latency
+        kernel = [
+            (p.op.node, p.op.iteration, p.proc, p.start, p.latency)
+            for p in self.kernel
+        ]
+        first = min(it for _node, it, _proc, _start, _lat in kernel)
+        shift, cycles = 0, 0
+        while first + shift < iterations:
+            for node, it, proc, start, lat in kernel:
+                if it + shift < iterations:
+                    yield Op(node, it + shift), proc, start + cycles, lat
+            shift += self.iter_shift
+            cycles += self.period
+
     def expand(self, iterations: int) -> Schedule:
         """Unroll the pattern into a complete schedule for ``[0, N)``.
 
@@ -231,26 +260,44 @@ class Pattern:
         and ``r * iter_shift`` iterations; instances at iterations
         ``>= iterations`` are dropped.
         """
-        if iterations < 0:
-            raise SchedulingError("iterations must be >= 0")
         sched = Schedule(self.processors)
-        for p in self.prelude:
-            if p.op.iteration < iterations:
-                sched.add_placement(p)
-        lo_min = min(p.op.iteration for p in self.kernel)
-        r = 0
-        while lo_min + r * self.iter_shift < iterations:
-            for p in self.kernel:
-                it = p.op.iteration + r * self.iter_shift
-                if it < iterations:
-                    sched.add(
-                        Op(p.op.node, it),
-                        p.proc,
-                        p.start + r * self.period,
-                        p.latency,
-                    )
-            r += 1
+        for op, proc, start, lat in self._unrolled(iterations):
+            sched.add(op, proc, start, lat)
         return sched
+
+    def expand_rows(
+        self, iterations: int
+    ) -> tuple[list[list[Op]], list[list[int]]]:
+        """Per-processor op rows of :meth:`expand`, without the schedule.
+
+        Returns ``(rows, starts)``: ``rows[j]`` equals
+        ``[p.op for p in expand(iterations).ops_on(j)]`` and
+        ``starts[j]`` the matching start cycles.  The same unrolling
+        loop as :meth:`expand`, minus the ``Placement`` objects; it
+        assumes what :meth:`check_coverage` verifies for every pattern
+        the scheduler emits — no instance is placed twice.
+        """
+        rows: list[list[Op]] = [[] for _ in range(self.processors)]
+        starts: list[list[int]] = [[] for _ in range(self.processors)]
+        in_order = True
+        for op, proc, start, _lat in self._unrolled(iterations):
+            row_starts = starts[proc]
+            if row_starts and start < row_starts[-1]:
+                in_order = False
+            rows[proc].append(op)
+            row_starts.append(start)
+        if not in_order:
+            # ops_on's order: placements sorted by (start, op, latency)
+            placed: list[list[tuple[int, Op, int]]] = [
+                [] for _ in range(self.processors)
+            ]
+            for op, proc, start, lat in self._unrolled(iterations):
+                placed[proc].append((start, op, lat))
+            for row in placed:
+                row.sort()
+            rows = [[op for _s, op, _l in row] for row in placed]
+            starts = [[s for s, _op, _l in row] for row in placed]
+        return rows, starts
 
     def describe(self) -> str:
         """One-line human summary."""

@@ -49,8 +49,29 @@ class Placement:
         )
 
 
+#: what a packed schedule holds: parallel lists in placement order
+#: (op, processor, start, latency), then the makespan.
+_Packed = tuple[list[Op], list[int], list[int], list[int], int]
+
+#: the attributes a packed schedule builds on first use.
+_UNPACKED = frozenset(("_by_op", "_by_proc", "_sorted"))
+
+
 class Schedule:
-    """A complete assignment of op instances to processors and cycles."""
+    """A complete assignment of op instances to processors and cycles.
+
+    A schedule is held in one of two forms.  :meth:`add` fills the
+    placement form: ``_by_op`` (op -> :class:`Placement`, insertion
+    order), ``_by_proc`` (per-processor rows) and ``_sorted``.  The
+    simulator instead hands over a *packed* form (:meth:`from_packed`):
+    parallel lists in placement order plus the makespan.  Only
+    :meth:`makespan` and ``len()`` read it directly; any other access
+    to the placement form builds it from the packed lists, exactly as
+    the same sequence of :meth:`add` calls would, and drops the packed
+    form (DESIGN.md §15).
+    """
+
+    _packed: _Packed | None = None
 
     def __init__(self, processors: int) -> None:
         if processors < 1:
@@ -59,6 +80,60 @@ class Schedule:
         self._by_op: dict[Op, Placement] = {}
         self._by_proc: list[list[Placement]] = [[] for _ in range(processors)]
         self._sorted = True
+
+    @classmethod
+    def from_packed(
+        cls,
+        processors: int,
+        ops: list[Op],
+        procs: list[int],
+        starts: list[int],
+        latencies: list[int],
+        makespan: int,
+    ) -> "Schedule":
+        """A schedule from parallel placement-order lists.
+
+        The caller guarantees what :meth:`add` would check: no op twice,
+        processors in ``range(processors)``, no negative start, and
+        ``makespan`` equal to the largest ``start + latency``.
+        """
+        sched = cls.__new__(cls)
+        sched.processors = processors
+        sched._packed = (ops, procs, starts, latencies, makespan)
+        return sched
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes the instance lacks: the placement
+        # form of a packed schedule, built here on first use.
+        if name in _UNPACKED and self._packed is not None:
+            self._unpack()
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def _unpack(self) -> None:
+        ops, procs, starts, latencies, _ = self._packed
+        by_op: dict[Op, Placement] = {}
+        by_proc: list[list[Placement]] = [[] for _ in range(self.processors)]
+        in_order = True
+        for op, j, start, lat in zip(ops, procs, starts, latencies):
+            p = Placement(start, j, op, lat)
+            by_op[op] = p
+            row = by_proc[j]
+            if row and start < row[-1].start:
+                in_order = False
+            row.append(p)
+        del self._packed
+        self._by_op = by_op
+        self._by_proc = by_proc
+        self._sorted = in_order
+
+    def __getstate__(self) -> dict:
+        # Pickles always carry the placement form, as they always have.
+        if self._packed is not None:
+            self._unpack()
+        return self.__dict__
 
     # ------------------------------------------------------------------
     # construction / access
@@ -85,6 +160,8 @@ class Schedule:
         return op in self._by_op
 
     def __len__(self) -> int:
+        if self._packed is not None:
+            return len(self._packed[0])
         return len(self._by_op)
 
     def placement(self, op: Op) -> Placement:
@@ -116,6 +193,8 @@ class Schedule:
 
     def makespan(self) -> int:
         """Total cycles: max finish time over all ops (0 if empty)."""
+        if self._packed is not None:
+            return self._packed[4]
         return max((p.end for p in self._by_op.values()), default=0)
 
     def used_processors(self) -> list[int]:

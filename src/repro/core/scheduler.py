@@ -124,16 +124,16 @@ class ScheduledLoop:
             return self._doall_program(iterations)
         assert self.plan is not None
 
-        expanded = self.pattern.expand(iterations)
+        all_rows, all_starts = self.pattern.expand_rows(iterations)
         used = self.cyclic_processors
-        compact = {orig: i for i, orig in enumerate(used)}
-        cyclic_rows: list[list[Op]] = [
-            [p.op for p in expanded.ops_on(orig)] for orig in used
-        ]
+        cyclic_rows = [all_rows[orig] for orig in used]
 
         if self.plan.fold_into is not None:
             return self._folded_program(
-                expanded, cyclic_rows, compact, iterations
+                cyclic_rows,
+                [all_starts[orig] for orig in used],
+                used.index(self.plan.fold_into),
+                iterations,
             )
 
         rows = cyclic_rows
@@ -166,21 +166,24 @@ class ScheduledLoop:
 
     def _folded_program(
         self,
-        expanded: Schedule,
         cyclic_rows: list[list[Op]],
-        compact: dict[int, int],
+        cyclic_starts: list[list[int]],
+        fold_proc: int,
         iterations: int,
     ) -> list[list[Op]]:
         """Merge non-Cyclic ops into the chosen Cyclic processor.
 
-        A global priority-Kahn pass over the instance DAG plus the
-        fixed Cyclic per-processor chains yields per-processor orders
-        that are guaranteed deadlock-free (the emission order itself is
-        a consistent global history).  Priorities steer non-Cyclic ops
-        toward their deadlines but do not affect correctness.
+        ``cyclic_rows`` are the pattern's expanded rows in compact
+        processor numbering, ``cyclic_starts`` their nominal start
+        cycles, and ``fold_proc`` the compact number of the processor
+        that takes the non-Cyclic ops.  A global priority-Kahn pass
+        over the instance DAG plus the fixed Cyclic per-processor
+        chains yields per-processor orders that are guaranteed
+        deadlock-free (the emission order itself is a consistent
+        global history).  Priorities steer non-Cyclic ops toward their
+        deadlines but do not affect correctness.
         """
         assert self.plan is not None and self.plan.fold_into is not None
-        fold_proc = compact[self.plan.fold_into]
         c = self.classification
         graph = self.graph
 
@@ -197,8 +200,9 @@ class ScheduledLoop:
         # ops just after their latest producer.
         rate = self.pattern.cycles_per_iteration() if self.pattern else 1.0
         prio: dict[Op, float] = {}
-        for op in cyclic_ops:
-            prio[op] = float(expanded.start(op))
+        for row, starts in zip(cyclic_rows, cyclic_starts):
+            for op, start in zip(row, starts):
+                prio[op] = float(start)
         fi_set = set(c.flow_in)
         fi_pos = {n: i for i, n in enumerate(subset_order(graph, c.flow_in))}
         fo_pos = {n: i for i, n in enumerate(subset_order(graph, c.flow_out))}
@@ -258,10 +262,9 @@ class ScheduledLoop:
         released_chain: set[Op] = set()
 
         rows: list[list[Op]] = [[] for _ in range(len(cyclic_rows))]
-        proc_of_cyclic: dict[Op, int] = {}
-        for orig, j in compact.items():
-            for p in expanded.ops_on(orig):
-                proc_of_cyclic[p.op] = j
+        proc_of_cyclic: dict[Op, int] = {
+            op: j for j, row in enumerate(cyclic_rows) for op in row
+        }
 
         emitted = 0
         while heap:

@@ -108,6 +108,10 @@ class DependenceGraph:
         self._pred: dict[str, list[Edge]] = {}
         self._index: dict[str, int] = {}
 
+    # Per-node predecessor table, built on first use by
+    # :meth:`predecessor_table` and dropped by every mutation.
+    _preds: "list[tuple[tuple[int, int, Edge], ...]] | None" = None
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
@@ -120,6 +124,7 @@ class DependenceGraph:
         self._nodes[name] = node
         self._succ[name] = []
         self._pred[name] = []
+        self._preds = None
         return node
 
     def add_edge(
@@ -153,6 +158,7 @@ class DependenceGraph:
         self._edges.append(edge)
         self._succ[src].append(edge)
         self._pred[dst].append(edge)
+        self._preds = None
         return edge
 
     # ------------------------------------------------------------------
@@ -224,17 +230,36 @@ class DependenceGraph:
     # ------------------------------------------------------------------
     # dynamic-instance helpers
     # ------------------------------------------------------------------
+    def predecessor_table(self) -> list[tuple[tuple[int, int, Edge], ...]]:
+        """Incoming edges of every node as ``(src index, distance, edge)``.
+
+        Indexed by canonical node index; each entry lists the node's
+        incoming edges in insertion order.  This is the one place the
+        library finds an instance's predecessors: the instance
+        ``(v, i)`` depends on ``(src, i - distance)`` for every entry
+        with ``i >= distance``.  Built on first use and rebuilt after
+        :meth:`add_node` or :meth:`add_edge`.
+        """
+        table = self._preds
+        if table is None:
+            index = self._index
+            table = self._preds = [
+                tuple((index[e.src], e.distance, e) for e in self._pred[name])
+                for name in self._nodes
+            ]
+        return table
+
     def instance_predecessors(self, op: Op) -> list[tuple[Op, Edge]]:
         """Predecessor *instances* of ``op`` in the unrolled graph.
 
         Instances from negative iterations (i.e. values live-in to the
         loop) are omitted — they are assumed available at time 0.
         """
+        node, it = op
         out: list[tuple[Op, Edge]] = []
-        for e in self.predecessors(op.node):
-            it = op.iteration - e.distance
-            if it >= 0:
-                out.append((Op(e.src, it), e))
+        for _src, d, e in self.predecessor_table()[self.node_index(node)]:
+            if it >= d:
+                out.append((Op(e.src, it - d), e))
         return out
 
     def instance_successors(self, op: Op) -> list[tuple[Op, Edge]]:
@@ -303,6 +328,12 @@ class DependenceGraph:
                 f"graph {self.name!r} has a cycle of distance-0 edges; "
                 "the loop body cannot execute"
             )
+
+    def __getstate__(self) -> dict:
+        # The predecessor table is derived data: pickles leave it out.
+        state = self.__dict__.copy()
+        state.pop("_preds", None)
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

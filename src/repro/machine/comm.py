@@ -41,6 +41,16 @@ class CommModel:
         """Upper bound ``k`` on compile-time costs (configuration height)."""
         raise NotImplementedError
 
+    def edge_cost(self, edge: Edge, use_runtime: bool) -> int | None:
+        """The cost every message on ``edge`` pays, if it is one number.
+
+        ``None`` means the run-time cost depends on the message's
+        iteration: the simulator then asks :meth:`runtime_cost` per
+        message.  A model whose run-time cost is a function of the edge
+        alone overrides this so the simulator prices each edge once.
+        """
+        return None if use_runtime else self.compile_cost(edge)
+
 
 @dataclass(frozen=True)
 class ZeroComm(CommModel):
@@ -53,6 +63,9 @@ class ZeroComm(CommModel):
         return 0
 
     def max_compile_cost(self) -> int:
+        return 0
+
+    def edge_cost(self, edge: Edge, use_runtime: bool) -> int | None:
         return 0
 
 
@@ -81,6 +94,9 @@ class UniformComm(CommModel):
 
     def max_compile_cost(self) -> int:
         return self.k
+
+    def edge_cost(self, edge: Edge, use_runtime: bool) -> int | None:
+        return self._base(edge)
 
 
 @dataclass(frozen=True)
@@ -124,3 +140,10 @@ class FluctuatingComm(CommModel):
 
     def max_compile_cost(self) -> int:
         return self.k
+
+    def edge_cost(self, edge: Edge, use_runtime: bool) -> int | None:
+        if not use_runtime or self.mm == 1:
+            return self._base(edge)
+        if self.mode == "worst":
+            return self._base(edge) + self.mm - 1
+        return None  # 'uniform': hashed per message

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import accumulate
+from typing import NamedTuple, NoReturn, Sequence
 
 from repro._types import Op
 from repro.core.schedule import Schedule
@@ -44,8 +45,10 @@ from repro.machine.comm import CommModel
 __all__ = [
     "ExecutionTrace",
     "Message",
+    "ProgramIndex",
     "Segment",
     "execution_segments",
+    "index_program",
     "simulate",
     "validate_program",
 ]
@@ -160,6 +163,55 @@ def execution_segments(trace: ExecutionTrace) -> list[Segment]:
     return segments
 
 
+class ProgramIndex(NamedTuple):
+    """A validated program with an integer *slot* per op.
+
+    Slots number the ops in program order, processor by processor, so
+    processor ``j`` owns slots ``[row_end[j - 1], row_end[j])``.  The
+    per-slot lists are parallel; ``slot_of`` finds the slot of the
+    instance ``(v, i)`` under the key ``i * len(graph) + v``, where
+    ``v`` is the canonical node index.
+    """
+
+    ops: list[Op]
+    procs: list[int]
+    nodes: list[int]
+    iters: list[int]
+    row_end: list[int]
+    slot_of: dict[int, int]
+
+
+def index_program(
+    graph: DependenceGraph, order: Sequence[Sequence[Op]]
+) -> ProgramIndex:
+    """Check a per-processor program at the sim boundary and index it.
+
+    The checks are done in bulk; a malformed program raises exactly
+    what :func:`validate_program` raises for it.  The closed-form
+    evaluator (:func:`repro.sim.fastpath.evaluate`) runs on the index.
+    """
+    index = {name: v for v, name in enumerate(graph.node_names())}
+    n = len(index)
+    ops = [op for row in order for op in row]
+    nodes = [index.get(name) for name, _ in ops]
+    iters = [it for _, it in ops]
+    if not order or None in nodes or (iters and min(iters) < 0):
+        _raise_invalid(graph, order)
+    slot_of = {it * n + v: s for s, (v, it) in enumerate(zip(nodes, iters))}
+    if len(slot_of) != len(ops):  # an instance appears twice
+        _raise_invalid(graph, order)
+    procs = [j for j, row in enumerate(order) for _ in row]
+    row_end = list(accumulate(len(row) for row in order))
+    return ProgramIndex(ops, procs, nodes, iters, row_end, slot_of)
+
+
+def _raise_invalid(
+    graph: DependenceGraph, order: Sequence[Sequence[Op]]
+) -> NoReturn:
+    validate_program(graph, order)
+    raise AssertionError("index_program flagged a well-formed program")
+
+
 def validate_program(
     graph: DependenceGraph, order: Sequence[Sequence[Op]]
 ) -> dict[Op, int]:
@@ -171,8 +223,9 @@ def validate_program(
     iteration, empty processor set — instead of surfacing as a
     ``KeyError`` deep inside the event loop.  Unknown graph nodes keep
     raising :class:`~repro.errors.GraphError` via ``graph.node``.
-    Shared by both simulator implementations (:func:`simulate` and
-    :func:`repro.sim.fastpath.evaluate`).
+    Shared by both simulator implementations (:func:`simulate`, and
+    :func:`repro.sim.fastpath.evaluate` through :func:`index_program`);
+    the first malformed op in program order decides the error.
     """
     if len(order) < 1:
         raise ScheduleValidationError(

@@ -16,6 +16,11 @@ compile-time estimate — that is the paper's "simulated multiprocessor".
 The event-driven engine (:mod:`repro.sim.engine`) computes the same
 times operationally; the test suite cross-checks the two.
 
+The pass works on integer slots (:func:`~repro.sim.engine.
+index_program`) and the graph's predecessor table, and hands the
+result over as a packed schedule: no ``Op`` or ``Placement`` is built
+unless a caller asks the schedule for one (DESIGN.md §15).
+
 A cyclic waiting chain (op A waits for a message from an op that is
 queued behind A's own processor-order successor, etc.) is reported as
 :class:`~repro.errors.DeadlockError` — a correctly generated program
@@ -32,40 +37,166 @@ from repro.core.schedule import Schedule
 from repro.errors import DeadlockError
 from repro.graph.ddg import DependenceGraph
 from repro.machine.comm import CommModel
-from repro.sim.engine import ExecutionTrace, Message, validate_program
+from repro.sim.engine import (
+    ExecutionTrace,
+    Message,
+    ProgramIndex,
+    index_program,
+)
 
 __all__ = ["evaluate", "evaluate_trace"]
 
+#: one cross-processor dependence: (source slot, destination slot, cost)
+_Cross = tuple[int, int, int]
 
-def _reconstruct_messages(
+
+def _wire(
     graph: DependenceGraph,
-    sched: Schedule,
-    proc_of: dict[Op, int],
+    ix: ProgramIndex,
     comm: CommModel,
     use_runtime: bool,
-) -> list[Message]:
-    """The messages the closed-form run implies (src finished -> sent).
+    cross: list[_Cross] | None,
+) -> tuple[list[int], list[list[tuple[int, int]] | None]]:
+    """Each slot's count of in-program predecessors, and its dependents.
 
-    Mirrors the engine exactly under the default (fully overlapped)
-    channel model: a message departs when its source op finishes and
-    arrives ``cost`` cycles later, whether or not the destination ever
-    started — so even a *partial* (deadlocked) schedule yields the same
-    message list the event engine would have recorded.
+    ``dependents[s]`` lists ``(slot, delay)`` for every in-program
+    instance that depends on slot ``s``, where ``delay`` is the message
+    cost when the two sit on different processors and 0 otherwise.
+    Destinations come in program order and, per destination, edges in
+    predecessor-table order — the order the wake-ups and the messages
+    are reported in.  When ``cross`` is given, every cross-processor
+    dependence is also appended to it as ``(src, dst, cost)``.
     """
-    messages: list[Message] = []
-    for op, j in proc_of.items():
-        for pred, edge in graph.instance_predecessors(op):
-            pj = proc_of.get(pred)
-            if pj is None or pj == j or pred not in sched:
-                continue
-            sent = sched.finish(pred)
-            cost = (
-                comm.runtime_cost(edge, pred)
-                if use_runtime
-                else comm.compile_cost(edge)
-            )
-            messages.append(Message(pred, op, pj, j, sent, sent + cost))
-    return messages
+    n = len(graph)
+    priced = [
+        tuple(
+            (src, d, comm.edge_cost(e, use_runtime), e) for src, d, e in preds
+        )
+        for preds in graph.predecessor_table()
+    ]
+    ops, procs, nodes, iters, _, slot_of = ix
+    find = slot_of.get
+    remaining = [0] * len(ops)
+    dependents: list[list[tuple[int, int]] | None] = [None] * len(ops)
+    for s, (v, it, j) in enumerate(zip(nodes, iters, procs)):
+        count = 0
+        for src, d, cost, edge in priced[v]:
+            # a negative iteration gives a negative key: never a slot
+            ps = find((it - d) * n + src)
+            if ps is None:
+                continue  # live-in: outside the program, ready at 0
+            count += 1
+            if procs[ps] == j:
+                delay = 0
+            else:
+                delay = (
+                    cost
+                    if cost is not None
+                    else comm.runtime_cost(edge, ops[ps])
+                )
+                if cross is not None:
+                    cross.append((ps, s, delay))
+            deps = dependents[ps]
+            if deps is None:
+                dependents[ps] = [(s, delay)]
+            else:
+                deps.append((s, delay))
+        remaining[s] = count
+    return remaining, dependents
+
+
+def _solve(
+    graph: DependenceGraph,
+    order: Sequence[Sequence[Op]],
+    comm: CommModel,
+    use_runtime: bool,
+    trace: bool,
+) -> tuple[Schedule, list[Message] | None]:
+    """Run the forward pass; raise :class:`DeadlockError` if it sticks.
+
+    Processors are visited from a FIFO queue; a processor places ops
+    from its head while their predecessors are all placed, and each
+    placement wakes the processors whose head it completed.  With
+    ``trace`` the messages of the run are returned too; a deadlock
+    always attaches the partial run's trace to the error.
+    """
+    ix = index_program(graph, order)
+    cross: list[_Cross] | None = [] if trace else None
+    remaining, dependents = _wire(graph, ix, comm, use_runtime, cross)
+    latency = [graph.latency(name) for name in graph.node_names()]
+    lats = [latency[v] for v in ix.nodes]
+    procs, row_end = ix.procs, ix.row_end
+    processors = len(order)
+    cur = [0, *row_end[:-1]]  # next slot to place on each processor
+    proc_end = [0] * processors
+    ready = [0] * len(lats)  # earliest start its predecessors allow
+    queue: deque[int] = deque(range(processors))
+    queued = [True] * processors
+    placed: list[int] = []
+    starts: list[int] = []
+
+    while queue:
+        j = queue.popleft()
+        queued[j] = False
+        s, stop, t = cur[j], row_end[j], proc_end[j]
+        while s < stop and remaining[s] == 0:
+            start = ready[s] if ready[s] > t else t
+            t = start + lats[s]
+            placed.append(s)
+            starts.append(start)
+            deps = dependents[s]
+            if deps is not None:
+                for dep, delay in deps:  # wake waiting processors
+                    if t + delay > ready[dep]:
+                        ready[dep] = t + delay
+                    left = remaining[dep] = remaining[dep] - 1
+                    if left == 0:
+                        dj = procs[dep]
+                        if dj != j and not queued[dj] and cur[dj] == dep:
+                            queued[dj] = True
+                            queue.append(dj)
+            s += 1
+        cur[j] = s
+        proc_end[j] = t
+
+    ops = ix.ops
+    sched = Schedule.from_packed(
+        processors,
+        [ops[s] for s in placed],
+        [procs[s] for s in placed],
+        starts,
+        [lats[s] for s in placed],
+        max(proc_end),
+    )
+    deadlocked = len(placed) != len(ops)
+    if not (trace or deadlocked):
+        return sched, None
+    if cross is None:
+        cross = []
+        _wire(graph, ix, comm, use_runtime, cross)
+    # A message departs when its source finishes and arrives ``cost``
+    # cycles later, whether or not its destination ever starts: the
+    # event engine's list under its default, fully overlapped channels,
+    # even for a partial (deadlocked) run.
+    end: list[int | None] = [None] * len(ops)
+    for s, start in zip(placed, starts):
+        end[s] = start + lats[s]
+    messages = [
+        Message(ops[ps], ops[s], procs[ps], procs[s], end[ps], end[ps] + cost)
+        for ps, s, cost in cross
+        if end[ps] is not None
+    ]
+    if deadlocked:
+        stuck = [
+            ops[cur[j]] for j in range(processors) if cur[j] < row_end[j]
+        ]
+        err = DeadlockError(
+            f"program deadlocked with {len(ops) - len(placed)} ops "
+            f"unexecuted; stuck heads: {stuck[:5]}"
+        )
+        err.trace = ExecutionTrace(sched, messages)
+        raise err
+    return sched, messages
 
 
 def evaluate(
@@ -82,83 +213,7 @@ def evaluate(
     (live-in values, or nodes outside the scheduled subset) are
     satisfied at time 0.
     """
-    proc_of = validate_program(graph, order)
-    processors = len(order)
-
-    # remaining unplaced predecessors *within the program* per op
-    remaining: dict[Op, int] = {}
-    dependents: dict[Op, list[Op]] = {}
-    for op in proc_of:
-        cnt = 0
-        for pred, _edge in graph.instance_predecessors(op):
-            if pred in proc_of:
-                cnt += 1
-                dependents.setdefault(pred, []).append(op)
-        remaining[op] = cnt
-
-    sched = Schedule(processors)
-    ptr = [0] * processors
-    proc_end = [0] * processors
-    queue: deque[int] = deque(range(processors))
-    queued = [True] * processors
-    placed = 0
-
-    def head_ready(j: int) -> bool:
-        if ptr[j] >= len(order[j]):
-            return False
-        return remaining[order[j][ptr[j]]] == 0
-
-    while queue:
-        j = queue.popleft()
-        queued[j] = False
-        while head_ready(j):
-            op = order[j][ptr[j]]
-            start = proc_end[j]
-            for pred, edge in graph.instance_predecessors(op):
-                if pred not in proc_of:
-                    continue
-                pp = sched.placement(pred)
-                avail = pp.end
-                if pp.proc != j:
-                    avail += (
-                        comm.runtime_cost(edge, pred)
-                        if use_runtime
-                        else comm.compile_cost(edge)
-                    )
-                if avail > start:
-                    start = avail
-            lat = graph.latency(op.node)
-            sched.add(op, j, start, lat)
-            proc_end[j] = start + lat
-            ptr[j] += 1
-            placed += 1
-            for dep in dependents.get(op, ()):  # wake waiting processors
-                remaining[dep] -= 1
-                if remaining[dep] == 0:
-                    dj = proc_of[dep]
-                    if (
-                        dj != j
-                        and not queued[dj]
-                        and ptr[dj] < len(order[dj])
-                        and order[dj][ptr[dj]] == dep
-                    ):
-                        queued[dj] = True
-                        queue.append(dj)
-
-    if placed != len(proc_of):
-        stuck = [
-            order[j][ptr[j]] for j in range(processors) if ptr[j] < len(order[j])
-        ]
-        err = DeadlockError(
-            f"program deadlocked with {len(proc_of) - placed} ops "
-            f"unexecuted; stuck heads: {stuck[:5]}"
-        )
-        err.trace = ExecutionTrace(
-            sched,
-            _reconstruct_messages(graph, sched, proc_of, comm, use_runtime),
-        )
-        raise err
-    return sched
+    return _solve(graph, order, comm, use_runtime, False)[0]
 
 
 def evaluate_trace(
@@ -171,15 +226,10 @@ def evaluate_trace(
     """:func:`evaluate`, packaged as a full :class:`ExecutionTrace`.
 
     The schedule comes from the closed-form recurrence; the messages
-    are reconstructed from it (deterministic given the comm model), so
-    the result supports the same segment/Gantt/export tooling as the
-    event-driven engine — and the differential tests can compare the
-    two implementations through one lens.
+    come from the same pass's dependence wiring (deterministic given
+    the comm model), so the result supports the same segment/Gantt/
+    export tooling as the event-driven engine — and the differential
+    tests can compare the two implementations through one lens.
     """
-    sched = evaluate(graph, order, comm, use_runtime=use_runtime)
-    proc_of: dict[Op, int] = {
-        op: j for j, ops in enumerate(order) for op in ops
-    }
-    return ExecutionTrace(
-        sched, _reconstruct_messages(graph, sched, proc_of, comm, use_runtime)
-    )
+    sched, messages = _solve(graph, order, comm, use_runtime, True)
+    return ExecutionTrace(sched, messages)
