@@ -17,7 +17,10 @@ pattern for the same request before any timing is reported.  Two
 speedups are recorded per case: ``speedup`` (the full stream, memo
 on — the number the CI ratchet enforces at >= 20x) and
 ``algorithmic_speedup`` (unique requests only, memo off — the raw
-fastpath with no reuse).
+fastpath with no reuse).  The top-level ``min_speedup`` and
+``min_algorithmic_speedup`` are the smallest of each over the cases;
+CI ratchets both, so a slower scheduler shows even where memo hits
+dominate the stream.
 
 Regenerate the checked-in baseline with::
 
@@ -193,6 +196,9 @@ def main(argv: list[str] | None = None) -> int:
         "benchmark": "scheduler_fastpath",
         "cases": cases,
         "min_speedup": min(speedups),
+        "min_algorithmic_speedup": min(
+            c["algorithmic_speedup"] for c in cases.values()
+        ),
         "geomean_speedup": round(
             math.exp(sum(math.log(s) for s in speedups) / len(speedups)), 2
         ),
@@ -200,7 +206,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     print(
         f"min x{result['min_speedup']:.1f}, geomean "
-        f"x{result['geomean_speedup']:.1f}, all_identical "
+        f"x{result['geomean_speedup']:.1f}, min algorithmic "
+        f"x{result['min_algorithmic_speedup']:.2f}, all_identical "
         f"{result['all_identical']}"
     )
 

@@ -45,16 +45,23 @@ producing **bit-identical** :class:`CyclicResult` patterns:
 2. **Fused processor selection.**  The reference recomputes every
    predecessor's availability *per candidate processor* (O(procs *
    preds) graph traversals per instance, ~24% of wall time).  Here a
-   single pass at ready time computes per-processor same-processor
-   ready times plus the top-two cross-processor availabilities; the
-   per-processor probe is then O(1), with the paper's first-minimum
-   and ``'idle'`` tie-break semantics reproduced exactly.
+   single pass at ready time computes the top-two cross-processor
+   availabilities; a predecessor's finish on a processor never exceeds
+   that processor's free time, so nothing else is needed.  The
+   per-processor probe is then O(1), and ``'idle'`` probes only two
+   processors, with the paper's first-minimum and ``'idle'`` tie-break
+   semantics reproduced exactly.
 3. **Bounded detection state.**  ``occurrences``/``rejected`` entries
    that can no longer pair are evicted once the retained span exceeds
    ``_RETAIN_MIN`` scanned windows, with a starvation valve that grows
    the span instead of evicting while no candidate period has been
    proposed — so memory stays O(window) on long multi-SCC phase-lock
    runs without changing any observed detection.
+
+Per-instance state lives on integer slots ``iteration * n + node
+index`` in flat lists, not in ``Op``-keyed dicts; ``Op`` and
+``Placement`` objects are built only for the returned pattern
+(DESIGN.md §13.5).
 
 Cross-sweep memoization (``memo=True``) additionally keys whole
 results by a canonical graph hash — node latencies and edges by
@@ -76,8 +83,7 @@ from time import perf_counter
 from typing import Callable
 
 from repro._types import Op
-from repro.core.patterns import Pattern
-from repro.core.schedule import Placement
+from repro.core.patterns import Pattern, placements_of
 from repro.errors import PatternNotFoundError, SchedulingError
 from repro.graph.ddg import DependenceGraph
 from repro.machine.model import Machine
@@ -147,19 +153,24 @@ _MACHINE_FP_CACHE: dict = {}
 _MACHINE_FP_CACHE_MAX = 256
 
 
+def _check_ordering(ordering: str) -> None:
+    if ordering not in ORDERINGS:
+        raise SchedulingError(
+            f"unknown ordering {ordering!r}; choose from {ORDERINGS}"
+        )
+
+
 def _make_key(
     ordering: str, graph: DependenceGraph
 ) -> Callable[[Op, int], tuple]:
+    """The reference scheduler's ready-queue key over ``Op`` instances."""
+    _check_ordering(ordering)
     index = graph.node_index
     if ordering == "asap":
         return lambda op, asap: (asap, op.iteration, index(op.node))
     if ordering == "iteration":
         return lambda op, asap: (op.iteration, index(op.node))
-    if ordering == "index":
-        return lambda op, asap: (index(op.node), op.iteration)
-    raise SchedulingError(
-        f"unknown ordering {ordering!r}; choose from {ORDERINGS}"
-    )
+    return lambda op, asap: (index(op.node), op.iteration)
 
 
 class _RollingWindows:
@@ -181,13 +192,15 @@ class _RollingWindows:
     visits candidates in exactly the reference order.
     """
 
-    __slots__ = ("height", "pending", "final", "intern", "rows",
+    __slots__ = ("height", "names", "pending", "final", "intern", "rows",
                  "next_final", "evicted")
 
-    def __init__(self, height: int) -> None:
+    def __init__(self, height: int, names: list[str]) -> None:
         self.height = height
-        #: cycle -> [(proc, node, iteration, phase), ...] not yet final
-        self.pending: dict[int, list[tuple[int, str, int, int]]] = {}
+        #: node index -> node name (cells carry indices; see materialize)
+        self.names = names
+        #: cycle -> [(proc, node index, iteration, phase), ...] not final
+        self.pending: dict[int, list[tuple[int, int, int, int]]] = {}
         #: cycle -> (row_id, row_min_iteration) | _EMPTY_ROW
         self.final: dict[int, tuple[int, int | None]] = {}
         #: relative row tuple -> row id (exact, collision-free)
@@ -212,14 +225,18 @@ class _RollingWindows:
                 final[c] = _EMPTY_ROW
             else:
                 if len(cells) == 1:
-                    j, node, row_min, phase = cells[0]
-                    rel = ((j, node, 0, phase),)
+                    j, v, row_min, phase = cells[0]
+                    rel = ((j, v, 0, phase),)
                 else:
+                    # at most one cell per processor: sorting orders by
+                    # processor alone, whatever the node identifiers
                     cells.sort()
-                    row_min = min(cell[2] for cell in cells)
+                    row_min = min([cell[2] for cell in cells])
                     rel = tuple(
-                        (j, node, it - row_min, phase)
-                        for j, node, it, phase in cells
+                        [
+                            (j, v, it - row_min, phase)
+                            for j, v, it, phase in cells
+                        ]
                     )
                 rid = intern.get(rel)
                 if rid is None:
@@ -285,10 +302,12 @@ class _RollingWindows:
 
         Test-only: lets the property suite assert the rolled digests
         describe the same window a from-scratch
-        :func:`~repro.core.patterns.configuration_key` would.
+        :func:`~repro.core.patterns.configuration_key` would.  Rows
+        carry node indices; the window is rebuilt with node names.
         """
         final = self.final
         rows = self.rows
+        names = self.names
         stop = top + self.height
         base: int | None = None
         for c in range(top, stop):
@@ -302,8 +321,8 @@ class _RollingWindows:
             rid, rm = final[c]
             if rm is None:
                 continue
-            for j, node, drel, phase in rows[rid]:
-                cells.append((j, c - top, node, drel + rm - base, phase))
+            for j, v, drel, phase in rows[rid]:
+                cells.append((j, c - top, names[v], drel + rm - base, phase))
         cells.sort()
         return base, tuple(cells)
 
@@ -343,21 +362,20 @@ class _Detector:
     still finds a later, equally valid pairing of the same stream.
     """
 
-    __slots__ = ("rolling", "placed", "procs", "height", "stats",
+    __slots__ = ("rolling", "build", "height", "stats",
                  "occurrences", "occ_order", "rejected", "rej_by_t0",
                  "next_top", "retain", "last_candidate_t")
 
     def __init__(
         self,
         rolling: _RollingWindows,
-        placed: dict[Op, Placement],
-        procs: int,
+        build: Callable[[int, int, int], Pattern],
         height: int,
         stats: CyclicStats,
     ) -> None:
         self.rolling = rolling
-        self.placed = placed
-        self.procs = procs
+        #: (start, period, shift) -> the candidate Pattern
+        self.build = build
         self.height = height
         self.stats = stats
         self.occurrences: dict[tuple, list[tuple[int, int]]] = {}
@@ -417,9 +435,7 @@ class _Detector:
                     self.last_candidate_t = t
                     if rolling.segment_repeats(t0, period, shift):
                         stats.detection_cycle = t0
-                        return _build_pattern(
-                            self.placed, self.procs, t0, period, shift
-                        )
+                        return self.build(t0, period, shift)
             lst = occ.setdefault(key, [])
             if (t, base) not in lst:  # re-scans after a rejected candidate
                 lst.append((t, base))
@@ -648,50 +664,88 @@ def _schedule_cyclic_uncached(
     comm = machine.comm
     procs = machine.processors
     node_names = graph.node_names()
-    latency = {n: graph.latency(n) for n in node_names}
+    n = len(node_names)
+    latency = [graph.latency(name) for name in node_names]
     if max_instances is None:
         # generous default: multi-SCC subsets can take hundreds of
         # iterations to phase-lock before the pattern stabilizes.
-        max_instances = 4000 * len(graph) + 20_000
+        max_instances = 4000 * n + 20_000
 
     # configuration window height = k + 1, with k the largest
     # compile-time communication cost actually reachable on this graph.
     k = max((comm.compile_cost(e) for e in graph.edges), default=0)
     height = k + 1
 
-    key_of = _make_key(ordering, graph)
+    _check_ordering(ordering)
+    by_asap = ordering == "asap"
+    by_index = ordering == "index"
 
-    # Static dependence tables: the hot loops below never traverse the
-    # graph — predecessor/successor structure and per-edge compile-time
-    # communication costs are fixed for the whole run.
-    static_preds: dict[str, tuple[tuple[str, int, int], ...]] = {}
-    static_succs: dict[str, tuple[tuple[str, int], ...]] = {}
-    for n in node_names:
-        static_preds[n] = tuple(
-            (e.src, e.distance, comm.compile_cost(e))
-            for e in graph.predecessors(n)
-        )
-        static_succs[n] = tuple(
-            (e.dst, e.distance) for e in graph.successors(n)
+    # Integer slots (DESIGN.md §13.5): instance (node v, iteration i) is
+    # slot i*n + v, so every per-instance table below is a flat list and
+    # an edge is a fixed slot offset.  Static tables, per node index:
+    #   preds[v] = ((slot offset, compile cost, source latency), ...)
+    #   succs[v] = ((slot offset, destination index, distance), ...)
+    # A predecessor offset lands on a negative slot exactly when the
+    # source iteration is negative (distances are 0 or 1).
+    index = {name: v for v, name in enumerate(node_names)}
+    preds: list[tuple[tuple[int, int, int], ...]] = []
+    succs: list[tuple[tuple[int, int, int], ...]] = []
+    for v, name in enumerate(node_names):
+        entries = []
+        for e in graph.predecessors(name):
+            u = index[e.src]
+            entries.append(
+                (u - v - e.distance * n, comm.compile_cost(e), latency[u])
+            )
+        preds.append(tuple(entries))
+        succs.append(
+            tuple(
+                (e.distance * n + index[e.dst] - v, index[e.dst], e.distance)
+                for e in graph.successors(name)
+            )
         )
 
-    placed: dict[Op, Placement] = {}
-    asap: dict[Op, int] = {}
-    data_ready: dict[Op, int] = {}
-    #: op -> (own, cross1, cross1_proc, cross2): fused selection inputs,
-    #: computed once at ready time (all predecessors are placed then).
-    sel: dict[Op, tuple[dict[int, int], int, int, int]] = {}
-    pred_count: dict[Op, int] = {}
+    # Per-slot state, grown in whole iterations as the unrolling moves
+    # on.  start[s] < 0: not placed; ready_at[s] < 0: not in the ready
+    # queue or parked; pred_left[s] == 0: predecessor count not taken.
+    start: list[int] = []
+    proc_of: list[int] = []
+    asap: list[int] = []
+    ready_at: list[int] = []
+    #: (cross1, cross1_proc, cross2): fused selection inputs, computed
+    #: once at ready time (all predecessors are placed then).
+    sel: list[tuple[int, int, int] | None] = []
+    pred_left: list[int] = []
+    order: list[int] = []  # placed slots, in placement order
+
+    def grow(slots: int) -> None:
+        start.extend([-1] * slots)
+        proc_of.extend([0] * slots)
+        asap.extend([0] * slots)
+        ready_at.extend([-1] * slots)
+        sel.extend([None] * slots)
+        pred_left.extend([0] * slots)
+
+    grow(n * (max_iteration_lead + 2))
     proc_end = [0] * procs
-    ready: list[tuple[tuple, Op]] = []
-    #: lazy min-heap over data_ready — entries are (dr, seq, op), valid
-    #: iff data_ready[op] still equals dr (updates push fresh entries).
-    dr_heap: list[tuple[int, int, Op]] = []
-    dr_seq = 0
+    #: (key, slot): (asap, slot) orders like (asap, iteration, index),
+    #: (0, slot) like (iteration, index) and (index, slot) like
+    #: (index, iteration), since slot = iteration*n + index.
+    ready: list[tuple[int, int]] = []
+    #: lazy min-heap over ready_at — entries are (dr, slot), valid iff
+    #: ready_at[slot] still equals dr (updates push fresh entries).
+    dr_heap: list[tuple[int, int]] = []
     stats = CyclicStats()
-    rolling = _RollingWindows(height)
+    rolling = _RollingWindows(height, node_names)
     pending_rows = rolling.pending
-    detector = _Detector(rolling, placed, procs, height, stats)
+
+    def build(t0: int, period: int, shift: int) -> Pattern:
+        return _build_pattern(
+            order, start, proc_of, node_names, latency, procs,
+            t0, period, shift,
+        )
+
+    detector = _Detector(rolling, build, height, stats)
     heappush = heapq.heappush
     heappop = heapq.heappop
 
@@ -709,120 +763,118 @@ def _schedule_cyclic_uncached(
     # an instance of iteration i is scheduled, so the pacing floor is
     # always a finalized number.  Both only delay ops whose earliness
     # was pure slack.
-    n_nodes = len(graph)
     iter_remaining: dict[int, int] = {}
     iter_end: dict[int, int] = {}
-    parked: dict[int, list[Op]] = {}
+    parked: dict[int, list[int]] = {}
     min_unfinished = 0
 
-    def push(op: Op) -> None:
-        nonlocal dr_seq
-        node, it = op
+    def push(s: int, v: int, it: int) -> None:
         a = 0
         dr = 0
-        own: dict[int, int] = {}
-        cmax: dict[int, int] = {}
-        for pn, dist, cc in static_preds[node]:
-            pit = it - dist
-            if pit < 0:
-                continue
-            pred = (pn, pit)
-            pa = asap[pred] + latency[pn]
-            if pa > a:
-                a = pa
-            pp = placed[pred]
-            pe = pp.start + pp.latency
-            if pe > dr:
-                dr = pe
-            pq = pp.proc
-            o = own.get(pq)
-            if o is None or pe > o:
-                own[pq] = pe
-            av = pe + cc
-            o = cmax.get(pq)
-            if o is None or av > o:
-                cmax[pq] = av
-        asap[op] = a
-        data_ready[op] = dr
-        # Top-two cross-processor availabilities: for processor j the
-        # tightest remote constraint is cross1 unless j itself hosts
-        # it, in which case cross2 (per-processor maxima make the
-        # argmax processor unique, so ties fall out naturally).
+        # Top-two cross-processor availabilities: v1 is the latest
+        # finish + communication over all predecessors and q1 the
+        # processor of one that reaches it; v2 the latest over
+        # predecessors on other processors than q1.  The remote
+        # constraint on processor j is then v2 if j == q1 else v1 (when
+        # two processors reach v1, v2 == v1 and q1's pick is moot).
         v1 = 0
         q1 = -1
         v2 = 0
-        for q, v in cmax.items():
-            if v > v1:
-                v2 = v1
-                v1 = v
+        for off, cc, plat in preds[v]:
+            ps = s + off
+            if ps < 0:
+                continue
+            pa = asap[ps] + plat
+            if pa > a:
+                a = pa
+            pe = start[ps] + plat
+            if pe > dr:
+                dr = pe
+            av = pe + cc
+            q = proc_of[ps]
+            if av > v1:
+                if q != q1:
+                    v2 = v1
+                v1 = av
                 q1 = q
-            elif v > v2:
-                v2 = v
-        sel[op] = (own, v1, q1, v2)
-        dr_seq += 1
-        heappush(dr_heap, (dr, dr_seq, op))
+            elif av > v2 and q != q1:
+                v2 = av
+        asap[s] = a
+        ready_at[s] = dr
+        sel[s] = (v1, q1, v2)
+        heappush(dr_heap, (dr, s))
         if it < min_unfinished + max_iteration_lead:
-            heappush(ready, (key_of(op, a), op))
+            heappush(ready, (a if by_asap else v if by_index else 0, s))
         else:
-            parked.setdefault(it, []).append(op)
+            parked.setdefault(it, []).append(s)
 
-    for name in node_names:
+    for v, name in enumerate(node_names):
         if all(e.distance >= 1 for e in graph.predecessors(name)):
-            push(Op(name, 0))
+            push(v, v, 0)
     if not ready:
         raise SchedulingError(
             f"graph {graph.name!r}: no initially ready instance — the "
             "distance-0 subgraph has no root (is it really a loop body?)"
         )
 
+    scheduled = 0
+    unrollings = 0
     while True:
         if not ready:  # pragma: no cover - unreachable for Cyclic graphs
             raise SchedulingError("ready queue drained before a pattern")
-        _, op = heappop(ready)
-        del data_ready[op]
-        node, it = op
+        s = heappop(ready)[1]
+        ready_at[s] = -1
+        it, v = divmod(s, n)
 
         # --- processor selection: first minimum of T(v, Pj) ----------
-        # One O(1) probe per processor from the fused inputs; same
-        # first-minimum + tie-break semantics as the reference's
-        # O(preds) inner loop (bench_scheduler_fastpath asserts
-        # bit-identical patterns).
-        own, v1, q1, v2 = sel.pop(op)
+        # T_j = max(proc_end[j], floor, v2 if j == q1 else v1): a
+        # predecessor placed on j finished by proc_end[j] (placement is
+        # append-only), so same-processor data never binds.  'first'
+        # takes the first j minimizing T_j; 'idle' the lexicographic
+        # minimum of (T_j, proc_end[j], j).  Every j but q1 shares the
+        # remote term v1, so T_j is monotone in proc_end[j] there and
+        # the first argmin of proc_end beats them all: 'idle' compares
+        # that argmin with q1 alone (DESIGN.md §13.5).
+        v1, q1, v2 = sel[s]
+        sel[s] = None
         floor = iter_end.get(it - max_iteration_lead, 0)
-        best_j = 0
-        best_t = None
-        best_pe = 0
-        for j in range(procs):
-            pe_j = proc_end[j]
-            t = pe_j if pe_j > floor else floor
-            o = own.get(j)
-            if o is not None and o > t:
-                t = o
-            c = v2 if j == q1 else v1
-            if c > t:
-                t = c
-            if (
-                best_t is None
-                or t < best_t
-                or (prefer_idle and t == best_t and pe_j < best_pe)
-            ):
-                best_t, best_j, best_pe = t, j, pe_j
-        lat = latency[node]
-        placed[op] = Placement(best_t, best_j, op, lat)
+        if prefer_idle:
+            pe = min(proc_end)
+            best_j = proc_end.index(pe)
+            best_t = max(pe, floor, v2 if best_j == q1 else v1)
+            if q1 >= 0 and q1 != best_j:
+                # proc_end[q1] >= pe, and q1 > best_j on equality: q1
+                # wins only on a strictly earlier start
+                t = max(proc_end[q1], floor, v2)
+                if t < best_t:
+                    best_t, best_j = t, q1
+        else:
+            best_t = None
+            for j in range(procs):
+                t = max(proc_end[j], floor, v2 if j == q1 else v1)
+                if best_t is None or t < best_t:
+                    best_t, best_j = t, j
+        lat = latency[v]
+        start[s] = best_t
+        proc_of[s] = best_j
+        order.append(s)
         end = best_t + lat
         proc_end[best_j] = end
         for q in range(lat):
             row = pending_rows.get(best_t + q)
             if row is None:
-                pending_rows[best_t + q] = [(best_j, node, it, q)]
+                pending_rows[best_t + q] = [(best_j, v, it, q)]
             else:
-                row.append((best_j, node, it, q))
-        stats.instances_scheduled += 1
-        if it >= stats.unrollings:
-            stats.unrollings = it + 1
+                row.append((best_j, v, it, q))
+        scheduled += 1
+        if it >= unrollings:
+            unrollings = it + 1
+            # successors reach at most one iteration further
+            if (it + 2) * n > len(start):
+                grow(len(start))
 
         # --- advance the iteration-lead window ------------------------
-        left = iter_remaining.get(it, n_nodes) - 1
+        left = iter_remaining.get(it, n) - 1
         iter_remaining[it] = left
         if end > iter_end.get(it, 0):
             iter_end[it] = end
@@ -833,50 +885,53 @@ def _schedule_cyclic_uncached(
                 iter_end.pop(min_unfinished - max_iteration_lead - 1, None)
                 min_unfinished += 1
                 release = min_unfinished + max_iteration_lead - 1
-                for parked_op in parked.pop(release, ()):
-                    if data_ready[parked_op] < floor_time:
-                        data_ready[parked_op] = floor_time
-                        dr_seq += 1
-                        heappush(dr_heap, (floor_time, dr_seq, parked_op))
+                for ps in parked.pop(release, ()):
+                    if ready_at[ps] < floor_time:
+                        ready_at[ps] = floor_time
+                        heappush(dr_heap, (floor_time, ps))
                     heappush(
-                        ready, (key_of(parked_op, asap[parked_op]), parked_op)
+                        ready,
+                        (
+                            asap[ps] if by_asap
+                            else ps % n if by_index else 0,
+                            ps,
+                        ),
                     )
 
         # --- release successors --------------------------------------
-        for sn, dist in static_succs[node]:
-            succ = Op(sn, it + dist)
-            if succ in placed:
+        for off, w, dist in succs[v]:
+            ss = s + off
+            if start[ss] >= 0:
                 continue
-            cnt = pred_count.get(succ)
-            if cnt is not None:
+            cnt = pred_left[ss]
+            if cnt:
                 if cnt == 1:
-                    del pred_count[succ]
-                    push(succ)
+                    pred_left[ss] = 0
+                    push(ss, w, it + dist)
                 else:
-                    pred_count[succ] = cnt - 1
+                    pred_left[ss] = cnt - 1
             else:
-                cnt = 0
-                for pn, pdist, _cc in static_preds[sn]:
-                    pit = it + dist - pdist
-                    if pit >= 0 and (pn, pit) not in placed:
+                for poff, _cc, _plat in preds[w]:
+                    ps = ss + poff
+                    if ps >= 0 and start[ps] < 0:
                         cnt += 1
                 if cnt == 0:
-                    push(succ)
+                    push(ss, w, it + dist)
                 else:
-                    pred_count[succ] = cnt
+                    pred_left[ss] = cnt
 
         # --- pattern detection over the stable prefix ----------------
-        t_detect = perf_counter()
         # frontier = min over j of max(proc_end[j], dr_min)
         #          = max(min(proc_end), dr_min): on processor j nothing
         # can start before proc_end[j] (append-only), and nothing
         # anywhere before the minimum data-ready time over the ready
         # queue (every unreleased instance transitively waits on some
         # ready instance).  dr_min comes from the lazy heap: stale
-        # tops (scheduled or since-bumped ops) are discarded on sight.
+        # tops (scheduled or since-bumped instances) are discarded on
+        # sight.
         while dr_heap:
             top = dr_heap[0]
-            if data_ready.get(top[2]) == top[0]:
+            if ready_at[top[1]] == top[0]:
                 break
             heappop(dr_heap)
         dr_min = dr_heap[0][0] if dr_heap else 0
@@ -888,6 +943,7 @@ def _schedule_cyclic_uncached(
         # nothing to scan (and so no new detector state to prune) until
         # the frontier clears at least one window past next_top.
         if detector.next_top + height <= frontier:
+            t_detect = perf_counter()
             pattern = None
             while True:
                 found = detector.scan(frontier)
@@ -910,11 +966,13 @@ def _schedule_cyclic_uncached(
                 now = perf_counter()
                 stats.detect_seconds += now - t_detect
                 stats.total_seconds = now - t_run
+                stats.instances_scheduled = scheduled
+                stats.unrollings = unrollings
                 return CyclicResult(pattern, stats)
             detector.prune()
-        stats.detect_seconds += perf_counter() - t_detect
+            stats.detect_seconds += perf_counter() - t_detect
 
-        if stats.instances_scheduled > max_instances:
+        if scheduled > max_instances:
             raise PatternNotFoundError(
                 f"no pattern within {max_instances} instances of "
                 f"{graph.name!r} (ordering={ordering!r}, p={procs}, "
@@ -940,19 +998,34 @@ def _check_input(graph: DependenceGraph) -> None:
 
 
 def _build_pattern(
-    placed: dict[Op, Placement], procs: int, t0: int, period: int, shift: int
+    order: list[int],
+    start: list[int],
+    proc_of: list[int],
+    node_names: list[str],
+    latency: list[int],
+    procs: int,
+    t0: int,
+    period: int,
+    shift: int,
 ) -> Pattern:
-    prelude = tuple(
-        sorted(p for p in placed.values() if p.start < t0)
-    )
-    kernel = tuple(
-        sorted(p for p in placed.values() if t0 <= p.start < t0 + period)
-    )
+    """The candidate pattern: placed slots before ``t0`` form the
+    prelude, those starting in ``[t0, t0 + period)`` the kernel."""
+    n = len(node_names)
+    stop = t0 + period
+    prelude = []
+    kernel = []
+    for s in order:
+        st = start[s]
+        if st < stop:
+            it, v = divmod(s, n)
+            (prelude if st < t0 else kernel).append(
+                (st, proc_of[s], node_names[v], it, latency[v])
+            )
     return Pattern(
         start=t0,
         period=period,
         iter_shift=shift,
-        prelude=prelude,
-        kernel=kernel,
+        prelude=placements_of(prelude),
+        kernel=placements_of(kernel),
         processors=procs,
     )

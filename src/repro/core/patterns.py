@@ -30,7 +30,7 @@ from repro._types import Op
 from repro.core.schedule import Placement, Schedule
 from repro.errors import SchedulingError
 
-__all__ = ["Cell", "configuration_key", "Pattern"]
+__all__ = ["Cell", "configuration_key", "Pattern", "placements_of"]
 
 # One grid cell: (node, iteration, phase-within-op) or None when idle.
 Cell = "tuple[str, int, int] | None"
@@ -66,6 +66,25 @@ def configuration_key(
         (j, rc, node, it - base, phase) for j, rc, node, it, phase in cells
     )
     return (base, key)
+
+
+def placements_of(
+    rows: list[tuple[int, int, str, int, int]]
+) -> tuple[Placement, ...]:
+    """Sorted placements from ``(start, proc, node, iteration, latency)`` rows.
+
+    Sorting the plain tuples gives the order of sorting the
+    :class:`Placement` values themselves (field order ``start, proc,
+    op, latency`` with ``op = (node, iteration)``) without going
+    through the dataclass comparison; ``rows`` is sorted in place.
+    """
+    rows.sort()
+    return tuple(
+        [
+            Placement(start, proc, Op(node, it), lat)
+            for start, proc, node, it, lat in rows
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -203,16 +222,12 @@ class Pattern:
         """
 
         def rename(ps: tuple[Placement, ...]) -> tuple[Placement, ...]:
-            return tuple(
-                sorted(
-                    Placement(
-                        p.start,
-                        p.proc,
-                        Op(mapping[p.op.node], p.op.iteration),
-                        p.latency,
-                    )
+            return placements_of(
+                [
+                    (p.start, p.proc, mapping[p.op.node], p.op.iteration,
+                     p.latency)
                     for p in ps
-                )
+                ]
             )
 
         return Pattern(

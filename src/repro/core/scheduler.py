@@ -182,111 +182,132 @@ class ScheduledLoop:
         deadlock-free (the emission order itself is a consistent
         global history).  Priorities steer non-Cyclic ops toward their
         deadlines but do not affect correctness.
+
+        Instances are integer slots ``iteration * n + node index``
+        (DESIGN.md §15): every table is a flat list over the program's
+        slots, and an ``Op`` is built only when it joins a row.
         """
         assert self.plan is not None and self.plan.fold_into is not None
         c = self.classification
         graph = self.graph
-
-        noncyclic = [
-            Op(n, i)
-            for i in range(iterations)
-            for n in (*c.flow_in, *c.flow_out)
-        ]
-        cyclic_ops = {op for row in cyclic_rows for op in row}
-        all_ops = cyclic_ops | set(noncyclic)
+        names = graph.node_names()
+        index = graph.node_index
+        n = len(names)
+        size = iterations * n
+        latency = [graph.latency(name) for name in names]
+        pred_table = graph.predecessor_table()
+        # per source index, the slot offset of each dependent: the
+        # predecessor table read the other way
+        succ_table: list[list[int]] = [[] for _ in range(n)]
+        for v, entries in enumerate(pred_table):
+            for u, d, _e in entries:
+                succ_table[u].append(d * n + v - u)
 
         # priorities: cyclic ops keep their expanded nominal start;
         # flow-in ops aim just before their earliest consumer; flow-out
-        # ops just after their latest producer.
+        # ops just after their latest producer.  A slot's priority is
+        # None until it is set.
         rate = self.pattern.cycles_per_iteration() if self.pattern else 1.0
-        prio: dict[Op, float] = {}
-        for row, starts in zip(cyclic_rows, cyclic_starts):
-            for op, start in zip(row, starts):
-                prio[op] = float(start)
-        fi_set = set(c.flow_in)
-        fi_pos = {n: i for i, n in enumerate(subset_order(graph, c.flow_in))}
-        fo_pos = {n: i for i, n in enumerate(subset_order(graph, c.flow_out))}
+        prio: list[float | None] = [None] * size
+        member = [False] * size
+        proc_of = [fold_proc] * size
+        # chain constraints: each cyclic row is a fixed sequence.
+        chain_next = [-1] * size
+        chain_blocked = [False] * size
+        total = 0
+        for j, (row, starts) in enumerate(zip(cyclic_rows, cyclic_starts)):
+            prev = -1
+            for (node, it), start in zip(row, starts):
+                s = it * n + index(node)
+                prio[s] = float(start)
+                if not member[s]:
+                    member[s] = True
+                    total += 1
+                proc_of[s] = j
+                if prev >= 0:
+                    chain_next[prev] = s
+                    chain_blocked[s] = True
+                prev = s
+        for name in (*c.flow_in, *c.flow_out):
+            for s in range(index(name), size, n):
+                member[s] = True
+            total += iterations
+        fi_order = [index(m) for m in subset_order(graph, c.flow_in)]
+        fo_order = [index(m) for m in subset_order(graph, c.flow_out)]
         # flow-in: reverse instance-topological sweep so every already-
         # prioritized successor (cyclic or later flow-in) is available.
-        for op in sorted(
-            (o for o in noncyclic if o.node in fi_set),
-            key=lambda o: (-o.iteration, -fi_pos[o.node]),
-        ):
-            deadlines = [
-                prio[succ]
-                for succ, _e in graph.instance_successors(op)
-                if succ in prio
-            ]
-            prio[op] = (
-                min(deadlines) - 0.5 if deadlines else op.iteration * rate
-            )
+        for it in range(iterations - 1, -1, -1):
+            for v in reversed(fi_order):
+                s = it * n + v
+                deadline = None
+                for off in succ_table[v]:
+                    if s + off < size:
+                        p = prio[s + off]
+                        if p is not None and (
+                            deadline is None or p < deadline
+                        ):
+                            deadline = p
+                prio[s] = it * rate if deadline is None else deadline - 0.5
         # flow-out: forward sweep; every producer already has a priority.
-        for op in sorted(
-            (o for o in noncyclic if o.node not in fi_set),
-            key=lambda o: (o.iteration, fo_pos[o.node]),
-        ):
-            ready = [
-                prio[pred] + graph.latency(pred.node)
-                for pred, _e in graph.instance_predecessors(op)
-                if pred in prio
-            ]
-            prio[op] = (max(ready) + 0.5) if ready else op.iteration * rate
+        for it in range(iterations):
+            for v in fo_order:
+                s = it * n + v
+                ready = None
+                for u, d, _e in pred_table[v]:
+                    if it >= d:
+                        p = prio[s + u - v - d * n]
+                        if p is not None:
+                            p += latency[u]
+                            if ready is None or p > ready:
+                                ready = p
+                prio[s] = it * rate if ready is None else ready + 0.5
 
-        # chain constraints: each cyclic row is a fixed sequence.
-        chain_next: dict[Op, Op] = {}
-        chain_blocked: set[Op] = set()
-        for row in cyclic_rows:
-            for a, b in zip(row, row[1:]):
-                chain_next[a] = b
-                chain_blocked.add(b)
+        remaining = [0] * size
+        for s in range(size):
+            if member[s]:
+                it, v = divmod(s, n)
+                cnt = 0
+                for u, d, _e in pred_table[v]:
+                    if it >= d and member[s + u - v - d * n]:
+                        cnt += 1
+                remaining[s] = cnt
 
-        remaining: dict[Op, int] = {}
-        dependents: dict[Op, list[Op]] = {}
-        for op in all_ops:
-            cnt = 0
-            for pred, _e in graph.instance_predecessors(op):
-                if pred in all_ops:
-                    cnt += 1
-                    dependents.setdefault(pred, []).append(op)
-            remaining[op] = cnt
-
-        def key(op: Op) -> tuple:
-            return (prio[op], op.iteration, graph.node_index(op.node))
-
-        heap: list[tuple[tuple, Op]] = [
-            (key(op), op)
-            for op in all_ops
-            if remaining[op] == 0 and op not in chain_blocked
+        # (prio, slot) orders like (prio, iteration, node index)
+        heap = [
+            (prio[s], s)
+            for s in range(size)
+            if member[s] and remaining[s] == 0 and not chain_blocked[s]
         ]
         heapq.heapify(heap)
-        released_chain: set[Op] = set()
+        released_chain = [False] * size
+        heappush = heapq.heappush
+        heappop = heapq.heappop
 
         rows: list[list[Op]] = [[] for _ in range(len(cyclic_rows))]
-        proc_of_cyclic: dict[Op, int] = {
-            op: j for j, row in enumerate(cyclic_rows) for op in row
-        }
-
         emitted = 0
         while heap:
-            _, op = heapq.heappop(heap)
-            j = proc_of_cyclic.get(op, fold_proc)
-            rows[j].append(op)
+            s = heappop(heap)[1]
+            it, v = divmod(s, n)
+            rows[proc_of[s]].append(Op(names[v], it))
             emitted += 1
-            nxt = chain_next.get(op)
-            if nxt is not None:
-                released_chain.add(nxt)
+            nxt = chain_next[s]
+            if nxt >= 0:
+                released_chain[nxt] = True
                 if remaining[nxt] == 0:
-                    heapq.heappush(heap, (key(nxt), nxt))
-            for dep in dependents.get(op, ()):
-                remaining[dep] -= 1
-                if remaining[dep] == 0 and (
-                    dep not in chain_blocked or dep in released_chain
-                ):
-                    heapq.heappush(heap, (key(dep), dep))
-        if emitted != len(all_ops):
+                    heappush(heap, (prio[nxt], nxt))
+            for off in succ_table[v]:
+                ds = s + off
+                if ds < size and member[ds]:
+                    left = remaining[ds] - 1
+                    remaining[ds] = left
+                    if left == 0 and (
+                        not chain_blocked[ds] or released_chain[ds]
+                    ):
+                        heappush(heap, (prio[ds], ds))
+        if emitted != total:
             raise SchedulingError(
                 "internal error: folded merge left "
-                f"{len(all_ops) - emitted} ops unordered"
+                f"{total - emitted} ops unordered"
             )
         return rows
 

@@ -10,15 +10,20 @@ asymptotically less detection work.  These tests pin that bar:
   :func:`~repro.core.patterns.configuration_key` would (property test
   over the fuzz generator families);
 * optimized vs reference equivalence over the fuzz families, the
-  checked-in corpus, and a 500-loop fuzz smoke;
+  checked-in corpus, the 25 Table 1 loops, every ordering /
+  tie-break / iteration-lead configuration, and a 500-loop fuzz smoke;
 * cross-sweep memoization: canonical-graph hits across node renames,
   disk-tier sharing, and bit-identity of remapped results;
 * bounded detection state: eviction fires under a tiny retention floor
-  and the scheduler still emits a valid pattern of the same rate.
+  and the scheduler still emits a valid pattern of the same rate, and
+  under a floor of 16 it reproduces the patterns and counters recorded
+  from the ``Op``-keyed scheduler (``eviction_fixture.json``).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -27,15 +32,22 @@ from hypothesis import strategies as st
 
 import repro.core.cyclic as cyclic_mod
 from repro.core.classify import classify
-from repro.core.cyclic import CyclicStats, schedule_cyclic, _RollingWindows
+from repro.core.cyclic import (
+    ORDERINGS,
+    CyclicStats,
+    _RollingWindows,
+    schedule_cyclic,
+)
 from repro.core.cyclic_reference import schedule_cyclic_reference
 from repro.core.patterns import configuration_key
 from repro.errors import PatternNotFoundError, SchedulingError
 from repro.fuzz.corpus import load_corpus
 from repro.fuzz.generators import PATTERN_NAMES, generate_case
+from repro.graph.algorithms import connected_components
 from repro.graph.ddg import DependenceGraph
 from repro.machine.comm import UniformComm
 from repro.machine.model import Machine
+from repro.workloads import random_cyclic_loop
 from tests.conftest import fuzz_cases
 
 
@@ -105,11 +117,12 @@ def test_rolling_key_matches_configuration_key(case, height):
     grid, placements = _grid_of(result.pattern, 12)
     if not placements:
         return
-    rolling = _RollingWindows(height)
+    names = sub.node_names()
+    rolling = _RollingWindows(height, names)
     for p in placements:
         for q in range(p.latency):
             rolling.pending.setdefault(p.start + q, []).append(
-                (p.proc, p.op.node, p.op.iteration, q)
+                (p.proc, names.index(p.op.node), p.op.iteration, q)
             )
     last = max(p.start + p.latency for p in placements)
     stats = CyclicStats()
@@ -201,6 +214,59 @@ def test_500_loop_fuzz_smoke():
     assert instances > 0
     # windows_hashed << instances_scheduled (it is identically zero)
     assert windows * 10 < instances
+
+
+def _table1_components() -> list[tuple[str, DependenceGraph, Machine]]:
+    """The Cyclic subgraph of every component of the 25 Table 1 loops."""
+    out = []
+    for seed in range(1, 26):
+        w = random_cyclic_loop(seed)
+        for k, comp in enumerate(connected_components(w.graph)):
+            sub = w.graph.subgraph(comp)
+            cyc = classify(sub).cyclic
+            if cyc:
+                out.append((f"random{seed}.{k}", sub.subgraph(cyc), w.machine))
+    return out
+
+
+def _outcome(schedule, sub, machine, **config):
+    """(pattern, agreed stats) of one scheduler run, or its error."""
+    try:
+        result = schedule(sub, machine, **config)
+    except (PatternNotFoundError, SchedulingError) as exc:
+        return type(exc), str(exc)
+    return result.pattern, _key_stats(result.stats)
+
+
+def test_optimized_matches_reference_on_table1_loops():
+    components = _table1_components()
+    assert len(components) == 58
+    for name, sub, machine in components:
+        ref = schedule_cyclic_reference(sub, machine)
+        opt = schedule_cyclic(sub, machine, memo=False)
+        assert opt.pattern == ref.pattern, name
+        assert _key_stats(opt.stats) == _key_stats(ref.stats), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=fuzz_cases(),
+    ordering=st.sampled_from(ORDERINGS),
+    tie_break=st.sampled_from(("idle", "first")),
+    lead=st.sampled_from((1, 8)),
+)
+def test_optimized_matches_reference_in_every_configuration(
+    case, ordering, tie_break, lead
+):
+    sub, machine = _cyclic_subset(case)
+    if sub is None:
+        return
+    config = dict(
+        ordering=ordering, tie_break=tie_break, max_iteration_lead=lead
+    )
+    ref = _outcome(schedule_cyclic_reference, sub, machine, **config)
+    opt = _outcome(schedule_cyclic, sub, machine, memo=False, **config)
+    assert opt == ref
 
 
 # ----------------------------------------------------------------------
@@ -305,6 +371,58 @@ def _phase_lock_graph() -> DependenceGraph:
     return g
 
 
+EVICTION_FIXTURE = Path(__file__).parent / "eviction_fixture.json"
+
+#: every CyclicStats field but the two timings
+_COUNTERS = (
+    "instances_scheduled",
+    "windows_hashed",
+    "candidates_tried",
+    "detection_cycle",
+    "unrollings",
+    "rows_rolled",
+    "occ_evicted",
+    "memo_hits",
+)
+
+
+def _pattern_digest(pattern) -> str:
+    def rows(ps):
+        return [
+            (p.start, p.proc, p.op.node, p.op.iteration, p.latency)
+            for p in ps
+        ]
+
+    text = repr(
+        (
+            pattern.start,
+            pattern.period,
+            pattern.iter_shift,
+            pattern.processors,
+            rows(pattern.prelude),
+            rows(pattern.kernel),
+        )
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _eviction_runs() -> dict[str, dict]:
+    """Pattern digest and counters of each Table 1 component and the
+    phase-lock graph, scheduled uncached at the current retention."""
+    runs = {}
+    inputs = _table1_components()
+    inputs.append(
+        ("phase-lock", _phase_lock_graph(), Machine(3, UniformComm(1)))
+    )
+    for name, sub, machine in inputs:
+        r = schedule_cyclic(sub, machine, memo=False)
+        runs[name] = {
+            "pattern": _pattern_digest(r.pattern),
+            "stats": {f: getattr(r.stats, f) for f in _COUNTERS},
+        }
+    return runs
+
+
 class TestBoundedDetectionState:
     def test_detection_state_stays_bounded(self, monkeypatch):
         """With a tiny retention floor, eviction fires and the detector
@@ -337,6 +455,17 @@ class TestBoundedDetectionState:
             except (PatternNotFoundError, SchedulingError):
                 continue
             assert r.stats.occ_evicted == 0
+
+    def test_eviction_reproduces_recorded_runs(self, monkeypatch):
+        """Under a retention floor of 16, eviction fires on three Table 1
+        loops and the phase-lock graph.  Patterns and every counter
+        except the timings match what the ``Op``-keyed scheduler
+        recorded in ``eviction_fixture.json``."""
+        monkeypatch.setattr(cyclic_mod, "_RETAIN_MIN", 16)
+        recorded = json.loads(EVICTION_FIXTURE.read_text())
+        runs = _eviction_runs()
+        assert runs == recorded
+        assert sum(r["stats"]["occ_evicted"] > 0 for r in runs.values()) >= 4
 
     def test_starvation_valve_grows_retention(self, monkeypatch):
         """The valve must veto eviction while no candidate period has
