@@ -42,15 +42,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import SchedulingError
-from repro.graph.algorithms import (
-    critical_recurrence_ratio,
-    topological_order,
-)
+from repro.graph.algorithms import recurrence_ratio, topological_order
 from repro.graph.ddg import DependenceGraph
 from repro.graph.unwind import unwind
 from repro.machine.model import Machine
+
+if TYPE_CHECKING:  # fractions imports decimal: loaded on first use
+    from fractions import Fraction
 
 __all__ = [
     "ModuloSchedule",
@@ -68,9 +69,15 @@ def rate_lower_bound(graph: DependenceGraph, machine: Machine) -> float:
     (``total latency / processors``); no schedule of any shape beats
     either.
     """
+    return float(_exact_lower_bound(graph, machine))
+
+
+def _exact_lower_bound(graph: DependenceGraph, machine: Machine) -> Fraction:
+    from fractions import Fraction
+
     return max(
-        critical_recurrence_ratio(graph),
-        graph.total_latency() / machine.processors,
+        recurrence_ratio(graph),
+        Fraction(graph.total_latency(), machine.processors),
     )
 
 #: Beyond this many nodes, the exact search is refused.
@@ -93,7 +100,7 @@ class ModuloSchedule:
     def certified_optimal(self, machine: Machine) -> bool:
         """True when this schedule provably cannot be beaten."""
         return self.period <= math.ceil(
-            rate_lower_bound(self.graph, machine) - 1e-9
+            _exact_lower_bound(self.graph, machine)
         )
 
     def verify(self, machine: Machine) -> None:
@@ -152,7 +159,7 @@ def optimal_modulo_schedule(
     hi = max_period if max_period is not None else serial
     lo = max(
         1,
-        math.ceil(critical_recurrence_ratio(graph) - 1e-9),
+        math.ceil(recurrence_ratio(graph)),
         math.ceil(serial / machine.processors),
     )
 

@@ -13,10 +13,11 @@ dozens of hand-picked graphs to millions of generated loops:
   by a seeded PRNG whose per-pattern weights adapt toward patterns
   still producing previously-unseen behaviour;
 * :mod:`repro.fuzz.oracles` — differential and invariant oracles run
-  on every generated case: steady-state rate matches the closed-form
-  pattern prediction, parallel execution is bit-identical to the
-  sequential interpreter, the closed-form fastpath agrees with the
-  event-driven reference simulator instance by instance, and
+  on every generated case: the program's exact steady-state rate
+  keeps the closed-form pattern promise, parallel execution is
+  bit-identical to the sequential interpreter, the closed-form
+  fastpath agrees with the event-driven reference simulator instance
+  by instance, and
   recompiling through a warm artifact cache is bit-identical;
 * :mod:`repro.fuzz.minimize` — greedy edge/node deletion shrinking any
   failure to a canonical repro;

@@ -4,14 +4,16 @@ Every case is compiled once through the standard pipeline and then
 checked against four independent notions of "correct":
 
 ``steady_rate``
-    Pattern found => the simulated steady-state rate matches the
-    closed-form prediction ``steady_cycles_per_iteration()`` exactly.
-    Measured per component over lcm-aligned iteration windows deep in
-    the steady state, so preludes, folding transients and flow-in/out
-    processor interleaving cancel out.  DOALL components with
-    loop-carried dependences are skipped: the round-robin program is
-    only claimed optimal for *independent* iterations and the
-    closed-form rate is a lower bound there, not an equality.
+    Every component's program runs no slower than the closed-form
+    promise ``steady_cycles_per_iteration()``.  The program's exact
+    asymptotic rate is the maximum cycle ratio of the program folded
+    onto one lcm-aligned iteration window
+    (:func:`repro.sim.steady.period_graph`), compared with the
+    promise as a ``Fraction``; on one case in 16 (by seed) the
+    simulated makespan must also grow by exactly that rate.
+    Components the rate claim does not cover (see
+    :func:`_part_window`) get their rate computed too and are counted
+    in ``fuzz.steady_rate.out_of_claim`` registry counters instead.
 ``dataflow``
     The partitioned parallel program computes values bit-identical to
     the sequential reference — the real interpreter
@@ -39,11 +41,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import ReproError
 from repro.fuzz.generators import FuzzCase, behavior_signature
 from repro.machine.comm import FluctuatingComm
+from repro.obs.metrics import labeled, registry
+
+if TYPE_CHECKING:  # fractions imports decimal: loaded on first use
+    from fractions import Fraction
 
 __all__ = [
     "ORACLE_NAMES",
@@ -72,7 +78,7 @@ DATAFLOW_ITERATIONS = 6
 ENGINE_ITERATIONS = 7
 
 #: steady-rate windows larger than this (lcm of iteration shift and
-#: flow-in/out interleaving widths) are skipped rather than simulated.
+#: flow-in/out interleaving widths) are outside the rate claim.
 _WINDOW_CAP = 48
 
 
@@ -135,44 +141,66 @@ def _parts(scheduled) -> list:
 # ----------------------------------------------------------------------
 # oracle: steady-state rate
 # ----------------------------------------------------------------------
-def _part_window(part) -> int | None:
-    """Iteration window over which the part's makespan is periodic.
+def _part_window(part) -> tuple[int, str | None]:
+    """Iteration window over which the part's program repeats, and why
+    the closed-form rate is not a claim there (``None`` when it is).
 
-    ``None`` means the closed-form rate is not a checkable claim for
-    this part and the check is skipped:
+    Out of the claim are:
 
-    * DOALL components with loop-carried dependences — the round-robin
-      program is only claimed optimal for independent iterations;
-    * loop-carried dependences between two *non-cyclic* nodes — Fig. 5
-      interleaves their iterations mod-p assuming independence, so
-      such edges serialize across processors and the rate claim does
-      not apply (the dependence is still honoured — the ``dataflow``
+    * ``doall_carried`` — DOALL components with loop-carried
+      dependences: the round-robin program is only claimed optimal for
+      independent iterations;
+    * ``folded`` — folded parts: the Section 3 heuristic explicitly
+      trades rate for processors, so the prediction is advisory there;
+    * ``noncyclic_carried`` — loop-carried dependences between two
+      *non-cyclic* nodes: Fig. 5 interleaves their iterations mod-p
+      assuming independence, so such edges serialize across
+      processors (the dependence is still honoured — the ``dataflow``
       oracle checks that);
-    * folded parts — the Section 3 heuristic explicitly trades rate
-      for processors, so the prediction is advisory there.
+    * ``window_cap`` — windows over :data:`_WINDOW_CAP` iterations.
     """
     if part.pattern is None:
-        if part.graph.max_distance() > 0:
-            return None
-        return part.machine.processors
+        carried = part.graph.max_distance() > 0
+        return part.machine.processors, "doall_carried" if carried else None
     plan = part.plan
-    if plan is not None and plan.fold_into is not None:
-        return None
-    cls = part.classification
-    noncyclic = set(cls.flow_in) | set(cls.flow_out)
-    for e in part.graph.edges:
-        if e.distance > 0 and e.src in noncyclic and e.dst in noncyclic:
-            return None
     m = part.pattern.iter_shift
+    if plan is not None and plan.fold_into is not None:
+        return m, "folded"
     if plan is not None:
         if plan.flow_in_procs:
             m = math.lcm(m, plan.flow_in_procs)
         if plan.flow_out_procs:
             m = math.lcm(m, plan.flow_out_procs)
-    return m
+    cls = part.classification
+    noncyclic = set(cls.flow_in) | set(cls.flow_out)
+    for e in part.graph.edges:
+        if e.distance > 0 and e.src in noncyclic and e.dst in noncyclic:
+            return m, "noncyclic_carried"
+    return m, "window_cap" if m > _WINDOW_CAP else None
 
 
-#: aligned windows averaged by the steady-rate measurement
+def _promise(part, window: int) -> Fraction:
+    """The closed-form rate, in cycles per ``window`` iterations."""
+    from fractions import Fraction
+
+    pattern = part.pattern
+    if pattern is not None:
+        return Fraction(pattern.period * window, pattern.iter_shift)
+    work = part.graph.total_latency() * window
+    return Fraction(work, part.machine.processors)
+
+
+def _settled(part) -> int:
+    """First iteration past the pattern's prelude (0 for DOALL)."""
+    if part.pattern is None:
+        return 0
+    return 1 + max((p.op.iteration for p in part.pattern.prelude), default=-1)
+
+
+#: one case in this many (by seed) also checks the rate by simulation
+_SIMULATED_ONE_IN = 16
+
+#: aligned windows, times the cyclicity, the simulation spans
 _RATE_WINDOWS = 4
 
 
@@ -185,36 +213,63 @@ def _measured_delta(part, comm, n0: int, span: int) -> int:
     return makespan(n0 + span) - makespan(n0)
 
 
-def _oracle_steady_rate(case: FuzzCase, scheduled) -> None:
-    comm = case.machine().comm
-    for part in _parts(scheduled):
-        m = _part_window(part)
-        if m is None or m > _WINDOW_CAP:
-            continue
-        expected_f = part.steady_cycles_per_iteration() * m
-        expected = round(expected_f)
-        if abs(expected_f - expected) > 1e-9:  # pragma: no cover
-            continue
-        # The closed-form rate is the scheduler's *promise*: deep in
-        # the steady state, the makespan must not grow faster than
-        # predicted over window-aligned spans.  It may grow slower —
-        # ASAP replay of the emitted program can compress slack the
-        # greedy pattern search left in the kernel (which also makes
-        # strict per-window periodicity too strong a requirement).
-        n0 = 8 * m + 32
-        span = _RATE_WINDOWS * m
-        budget = _RATE_WINDOWS * expected
+def _check_slope(part, comm, pg, rate: Fraction, m: int) -> None:
+    """The simulated makespan grows by exactly ``rate`` per window.
+
+    Measured past the structural start over whole cycles of the
+    critical graph (4 times its cyclicity, in windows): the makespan
+    need not grow by exactly ``rate`` every window, only every
+    cyclicity windows.  A transient that has not drained is given 4x
+    and then 16x the depth before it counts.
+    """
+    windows = _RATE_WINDOWS * pg.cyclicity()
+    span = windows * m
+    expected = rate * windows
+    for depth in (1, 4, 16):
+        n0 = depth * max(pg.start, 8 * m + 32)
         delta = _measured_delta(part, comm, n0, span)
-        if delta > budget:  # transient not drained: look deeper once
-            n0 *= 4
-            delta = _measured_delta(part, comm, n0, span)
-        if delta > budget:
+        if delta == expected:
+            return
+    raise OracleViolation(
+        f"component {part.graph.name!r}: exact rate {rate} cycles per "
+        f"{m} iterations predicts +{expected} cycles over {span} "
+        f"iterations past n0={n0}, simulated +{delta}"
+    )
+
+
+def _oracle_steady_rate(case: FuzzCase, scheduled) -> None:
+    from repro.sim.steady import period_graph
+
+    comm = case.machine().comm
+    simulate = case.seed % _SIMULATED_ONE_IN == 0
+    for part in _parts(scheduled):
+        m, shape = _part_window(part)
+        promise = _promise(part, m)
+        pg = period_graph(
+            part.graph, part.program, m, comm, start=_settled(part)
+        )
+        rate = pg.rate()
+        if shape is not None:
+            registry().counter(
+                labeled(
+                    "fuzz.steady_rate.out_of_claim",
+                    shape=shape,
+                    over_promise=rate > promise,
+                )
+            ).inc()
+            continue
+        # The closed-form rate is the scheduler's *promise*: the
+        # program must not run slower.  It may run faster — ASAP replay
+        # of the emitted program can compress slack the greedy pattern
+        # search left in the kernel.
+        if rate > promise:
             raise OracleViolation(
                 f"component {part.graph.name!r}: closed-form rate "
-                f"{part.steady_cycles_per_iteration():.4g} promises "
-                f"<=+{budget} cycles over {span} iterations past "
-                f"n0={n0}, measured +{delta}"
+                f"promises {promise} cycles per {m} iterations, the "
+                f"program's exact steady rate is {rate}"
             )
+        if simulate:
+            _check_slope(part, comm, pg, rate, m)
 
 
 # ----------------------------------------------------------------------

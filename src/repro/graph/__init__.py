@@ -5,7 +5,7 @@ Public surface:
 * :class:`~repro.graph.ddg.DependenceGraph`, :class:`~repro.graph.ddg.Node`,
   :class:`~repro.graph.ddg.Edge` — the loop model;
 * :mod:`repro.graph.algorithms` — SCC, topological sort, components,
-  recurrence bounds;
+  exact recurrence bounds and maximum cycle ratios;
 * :mod:`repro.graph.unwind` — distance normalization by loop unwinding.
 """
 
@@ -14,7 +14,9 @@ from repro.graph.algorithms import (
     critical_recurrence_ratio,
     is_doall,
     longest_intra_path,
+    max_cycle_ratio,
     nontrivial_sccs,
+    recurrence_ratio,
     strongly_connected_components,
     topological_order,
 )
@@ -34,8 +36,10 @@ __all__ = [
     "critical_recurrence_ratio",
     "is_doall",
     "longest_intra_path",
+    "max_cycle_ratio",
     "nontrivial_sccs",
     "normalize_distances",
+    "recurrence_ratio",
     "strongly_connected_components",
     "to_dot",
     "topological_order",

@@ -16,10 +16,14 @@ Two views of the graph appear throughout:
 
 from __future__ import annotations
 
-from typing import Callable
+from math import gcd, lcm
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, TypeVar
 
 from repro.errors import GraphError
 from repro.graph.ddg import DependenceGraph
+
+if TYPE_CHECKING:  # fractions imports decimal: loaded on first use
+    from fractions import Fraction
 
 __all__ = [
     "topological_order",
@@ -29,6 +33,9 @@ __all__ = [
     "nontrivial_sccs",
     "is_doall",
     "critical_recurrence_ratio",
+    "recurrence_ratio",
+    "max_cycle_ratio",
+    "critical_cyclicity",
     "longest_intra_path",
 ]
 
@@ -150,52 +157,59 @@ def strongly_connected_components(graph: DependenceGraph) -> list[list[str]]:
     order of the condensation (Tarjan's natural output order), each
     component sorted canonically.
     """
-    index_of: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    out: list[list[str]] = []
-    counter = 0
+    comps = _tarjan(
+        graph.node_names(), lambda n: [e.dst for e in graph.successors(n)]
+    )
+    return [sorted(comp, key=graph.node_index) for comp in comps]
 
-    # Iterative Tarjan (explicit stack) to survive deep graphs.
-    for root in graph.node_names():
-        if root in index_of:
+
+_T = TypeVar("_T")
+
+
+def _tarjan(
+    roots: Iterable[_T], successors: Callable[[_T], Iterable[_T]]
+) -> list[list[_T]]:
+    """Tarjan's SCCs, in completion order (reverse topological).
+
+    Iterative, with an explicit stack, to survive deep graphs.
+    """
+    index: dict[_T, int] = {}
+    low: dict[_T, int] = {}
+    on_stack: set[_T] = set()
+    stack: list[_T] = []
+    out: list[list[_T]] = []
+    for root in roots:
+        if root in index:
             continue
-        work: list[tuple[str, int]] = [(root, 0)]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors(root)))]
         while work:
-            node, ei = work[-1]
-            if ei == 0:
-                index_of[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            edges = graph.successors(node)
-            advanced = False
-            while ei < len(edges):
-                succ = edges[ei].dst
-                ei += 1
-                if succ not in index_of:
-                    work[-1] = (node, ei)
-                    work.append((succ, 0))
-                    advanced = True
+            node, succ = work[-1]
+            for nxt in succ:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(successors(nxt))))
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index_of[succ])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index_of[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(sorted(comp, key=graph.node_index))
-            if work:
-                parent, _ = work[-1]
-                low[parent] = min(low[parent], low[node])
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == node:
+                            break
+                    out.append(comp)
     return out
 
 
@@ -221,51 +235,267 @@ def is_doall(graph: DependenceGraph) -> bool:
     return not nontrivial_sccs(graph)
 
 
-def critical_recurrence_ratio(graph: DependenceGraph) -> float:
+#: policy-improvement rounds after which :func:`max_cycle_ratio` gives up
+HOWARD_MAX_ROUNDS = 10_000
+
+
+def max_cycle_ratio(
+    n: int,
+    edges: Iterable[tuple[int, int, int, int]],
+    *,
+    max_rounds: int = HOWARD_MAX_ROUNDS,
+) -> Fraction:
+    """``max over cycles C of weight(C) / transit(C)``, exactly.
+
+    ``edges`` are ``(u, v, weight, transit)`` over nodes ``0 .. n-1``
+    with integer weights and transits.  Howard policy iteration
+    (Cochet-Terrasson et al., 1998) in integers: each node keeps one
+    out-edge (its *policy*); value determination gives every node the
+    ratio ``eta = W/T`` of the policy cycle it drains into, stored
+    reduced as ``(W, T)``, and a value ``x`` stored as ``T * x``; the
+    improvement step first moves nodes toward a larger ``eta``, then,
+    only when none can move, toward a larger value at equal ``eta``.
+
+    A policy cycle's representative is its smallest node, valued 0, so
+    a cycle that survives into the next round keeps its representative
+    and that node's value.  Re-basing a surviving cycle (say, on the
+    node a walk happens to enter it by) can undo the previous
+    improvement, and with several critical cycles of equal ratio the
+    iteration then never ends.  A new cycle closed by a value
+    improvement has a strictly larger ratio, so its base is free.
+
+    Nodes that reach no cycle are ignored.  Raises
+    :class:`~repro.errors.GraphError` when the graph has no cycle, when
+    a policy cycle has transit <= 0 (for an emitted program: a
+    deadlock), or after ``max_rounds`` rounds without convergence.
+    """
+    return _howard(n, edges, max_rounds).ratio
+
+
+class _Policy(NamedTuple):
+    """Howard's converged state: the ratio and, per node, its out-edges,
+    reduced ratio ``eta`` and scaled value ``x``."""
+
+    ratio: Fraction
+    out: list[list[tuple[int, int, int]]]
+    live: list[int]
+    eta_w: list[int]
+    eta_t: list[int]
+    x: list[int]
+
+
+def _howard(
+    n: int, edges: Iterable[tuple[int, int, int, int]], max_rounds: int
+) -> _Policy:
+    out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for u, v, w, t in edges:
+        out[u].append((v, w, t))
+    live = [u for u in range(n) if out[u]]
+    if len(live) < n:
+        live = _peel_sinks(out)
+    if not live:
+        raise GraphError("max_cycle_ratio: the graph has no cycle")
+
+    # the policy: one out-edge (v, w, t) per node, first the heaviest
+    policy: list[tuple[int, int, int]] = [(0, 0, 0)] * n
+    for u in live:
+        best = out[u][0]
+        for e in out[u]:
+            if e[1] > best[1]:
+                best = e
+        policy[u] = best
+    eta_w = [0] * n
+    eta_t = [1] * n
+    x = [0] * n
+
+    for _ in range(max_rounds):
+        # -- value determination ---------------------------------------
+        state = [0] * n  # 0 unseen, 1 on the current walk, 2 valued
+        for s in live:
+            if state[s]:
+                continue
+            walk: list[int] = []
+            u = s
+            while not state[u]:
+                state[u] = 1
+                walk.append(u)
+                u = policy[u][0]
+            if state[u] == 1:  # the walk closed a policy cycle at u
+                k = walk.index(u)
+                cycle = walk[k:]
+                del walk[k:]
+                total_w = total_t = 0
+                for c in cycle:
+                    _v, w, t = policy[c]
+                    total_w += w
+                    total_t += t
+                if total_t <= 0:
+                    raise GraphError(
+                        f"cycle through nodes {cycle[:8]} has transit "
+                        f"{total_t} <= 0"
+                    )
+                g = gcd(total_w, total_t)
+                cw, ct = total_w // g, total_t // g
+                r = cycle.index(min(cycle))
+                x[cycle[r]] = 0
+                eta_w[cycle[r]], eta_t[cycle[r]] = cw, ct
+                state[cycle[r]] = 2
+                for step in range(1, len(cycle)):
+                    c = cycle[r - step]  # walks the cycle backwards
+                    v, w, t = policy[c]
+                    eta_w[c], eta_t[c] = cw, ct
+                    x[c] = ct * w - cw * t + x[v]
+                    state[c] = 2
+            for c in reversed(walk):
+                v, w, t = policy[c]
+                cw, ct = eta_w[c], eta_t[c] = eta_w[v], eta_t[v]
+                x[c] = ct * w - cw * t + x[v]
+                state[c] = 2
+
+        # -- policy improvement ----------------------------------------
+        improved = False
+        for u in live:  # toward a larger ratio
+            bw, bt, best = eta_w[u], eta_t[u], None
+            for e in out[u]:
+                v = e[0]
+                if eta_w[v] * bt > bw * eta_t[v]:
+                    bw, bt, best = eta_w[v], eta_t[v], e
+            if best is not None:
+                policy[u] = best
+                improved = True
+        if not improved:
+            for u in live:  # toward a larger value at the same ratio
+                cw, ct = eta_w[u], eta_t[u]
+                bx, best = x[u], None
+                for e in out[u]:
+                    v, w, t = e
+                    if eta_w[v] == cw and eta_t[v] == ct:
+                        val = ct * w - cw * t + x[v]
+                        if val > bx:
+                            bx, best = val, e
+                if best is not None:
+                    policy[u] = best
+                    improved = True
+        if not improved:
+            bw, bt = eta_w[live[0]], eta_t[live[0]]
+            for u in live:
+                if eta_w[u] * bt > bw * eta_t[u]:
+                    bw, bt = eta_w[u], eta_t[u]
+            from fractions import Fraction
+
+            return _Policy(Fraction(bw, bt), out, live, eta_w, eta_t, x)
+    raise GraphError(
+        f"max_cycle_ratio: no convergence in {max_rounds} rounds "
+        f"({len(live)} nodes)"
+    )
+
+
+def _peel_sinks(out: list[list[tuple[int, int, int]]]) -> list[int]:
+    """Drop, repeatedly, nodes with no out-edge: they reach no cycle.
+
+    Filters ``out`` in place and returns the remaining nodes.
+    """
+    n = len(out)
+    into: list[list[int]] = [[] for _ in range(n)]
+    for u, es in enumerate(out):
+        for v, _w, _t in es:
+            into[v].append(u)
+    degree = [len(es) for es in out]
+    sinks = [u for u in range(n) if not degree[u]]
+    alive = [True] * n
+    while sinks:
+        v = sinks.pop()
+        alive[v] = False
+        for u in into[v]:
+            degree[u] -= 1
+            if not degree[u]:
+                sinks.append(u)
+    live = [u for u in range(n) if alive[u]]
+    for u in live:
+        out[u] = [e for e in out[u] if alive[e[0]]]
+    return live
+
+
+def critical_cyclicity(
+    n: int, edges: Iterable[tuple[int, int, int, int]]
+) -> int:
+    """Cyclicity of the critical graph of ``edges`` (as for
+    :func:`max_cycle_ratio`).
+
+    The critical graph is the union of the cycles of maximum ratio
+    ``λ``; its cyclicity ``σ`` is the lcm, over its strongly connected
+    components, of the gcd of their cycles' transits.  In a timed event
+    graph, past a transient, every event recurs ``σ·λ`` later every
+    ``σ`` transits — but not necessarily ``λ`` later every transit.
+    """
+    policy = _howard(n, edges, HOWARD_MAX_ROUNDS)
+    lam, x = policy.ratio, policy.x
+    big_w, big_t = lam.numerator, lam.denominator
+    # critical edges: tight under the converged values, between nodes
+    # that drain into a cycle of ratio λ
+    tight: dict[int, list[tuple[int, int]]] = {
+        u: []
+        for u in policy.live
+        if policy.eta_w[u] == big_w and policy.eta_t[u] == big_t
+    }
+    for u, succ in tight.items():
+        for v, w, t in policy.out[u]:
+            if v in tight and big_t * w - big_w * t + x[v] == x[u]:
+                succ.append((v, t))
+    sigma = 1
+    for members in _tarjan(tight, lambda u: [v for v, _t in tight[u]]):
+        comp = set(members)
+        # gcd of cycle transits = gcd of edge slack against levels
+        # assigned along any spanning tree of the component
+        root = min(comp)
+        level = {root: 0}
+        stack = [root]
+        g = 0
+        while stack:
+            u = stack.pop()
+            for v, t in tight[u]:
+                if v not in comp:
+                    continue
+                if v in level:
+                    g = gcd(g, level[u] + t - level[v])
+                else:
+                    level[v] = level[u] + t
+                    stack.append(v)
+        if g:
+            sigma = lcm(sigma, g)
+    return sigma
+
+
+def recurrence_ratio(graph: DependenceGraph) -> Fraction:
     """The recurrence-theoretic lower bound on cycles per iteration.
 
     ``max over cycles C of (sum of latencies along C) / (sum of
     distances along C)`` — no schedule, on any number of processors
     with zero communication cost, can complete iterations faster than
-    this.  Computed exactly by binary search on the parametric shortest
-    path criterion (Bellman-Ford feasibility on edge weights
-    ``latency(src) - r * distance``), which is robust for the small
-    graphs this library deals in.  Returns 0.0 for DOALL loops.
+    this.  Computed exactly by :func:`max_cycle_ratio` over the edges
+    inside each recurrence (nontrivial SCC).  0 for DOALL loops.
     """
-    if is_doall(graph):
-        return 0.0
+    slot: dict[str, int] = {}
+    comp: dict[str, int] = {}
+    for c, members in enumerate(nontrivial_sccs(graph)):
+        for name in members:
+            comp[name] = c
+            slot[name] = len(slot)
+    if not slot:
+        from fractions import Fraction
 
-    names = graph.node_names()
+        return Fraction(0)
+    edges = [
+        (slot[e.src], slot[e.dst], graph.latency(e.src), e.distance)
+        for e in graph.edges
+        if e.src in comp and comp[e.src] == comp.get(e.dst)
+    ]
+    return max_cycle_ratio(len(slot), edges)
 
-    def has_positive_cycle(rate: float) -> bool:
-        # weight(e) = latency(src) - rate * distance; a positive-weight
-        # cycle exists iff some recurrence needs more than `rate`
-        # cycles/iteration.
-        dist = {n: 0.0 for n in names}
-        for sweep in range(len(names)):
-            changed = False
-            for e in graph.edges:
-                w = graph.latency(e.src) - rate * e.distance
-                if dist[e.src] + w > dist[e.dst] + 1e-12:
-                    dist[e.dst] = dist[e.src] + w
-                    changed = True
-            if not changed:
-                return False
-        # one more sweep: still relaxing => positive cycle
-        for e in graph.edges:
-            w = graph.latency(e.src) - rate * e.distance
-            if dist[e.src] + w > dist[e.dst] + 1e-12:
-                return True
-        return False
 
-    lo, hi = 0.0, float(graph.total_latency())
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if has_positive_cycle(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+def critical_recurrence_ratio(graph: DependenceGraph) -> float:
+    """:func:`recurrence_ratio` as a float (0.0 for DOALL loops)."""
+    return float(recurrence_ratio(graph))
 
 
 def longest_intra_path(

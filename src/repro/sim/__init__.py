@@ -7,6 +7,8 @@ Two interchangeable implementations of the machine semantics:
   objects and a full :class:`~repro.sim.engine.ExecutionTrace`.
 
 Property tests assert they agree cycle-for-cycle.
+:mod:`repro.sim.steady` gives a periodic program's exact asymptotic
+rate without simulating it.
 """
 
 from repro.sim.engine import (

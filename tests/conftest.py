@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
@@ -11,8 +13,10 @@ from repro.machine.comm import UniformComm
 from repro.machine.model import Machine
 from repro.workloads import cytron86, elliptic_filter, fig1, fig3, fig7, livermore18
 
+# ``HYPOTHESIS_PROFILE=ci-deep`` runs every property 500 times.
 settings.register_profile("repro", deadline=None, max_examples=60)
-settings.load_profile("repro")
+settings.register_profile("ci-deep", deadline=None, max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repro"))
 
 
 # ----------------------------------------------------------------------
