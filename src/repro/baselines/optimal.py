@@ -42,16 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from fractions import Fraction
 
 from repro.errors import SchedulingError
 from repro.graph.algorithms import recurrence_ratio, topological_order
 from repro.graph.ddg import DependenceGraph
 from repro.graph.unwind import unwind
 from repro.machine.model import Machine
-
-if TYPE_CHECKING:  # fractions imports decimal: loaded on first use
-    from fractions import Fraction
 
 __all__ = [
     "ModuloSchedule",
@@ -73,8 +70,6 @@ def rate_lower_bound(graph: DependenceGraph, machine: Machine) -> float:
 
 
 def _exact_lower_bound(graph: DependenceGraph, machine: Machine) -> Fraction:
-    from fractions import Fraction
-
     return max(
         recurrence_ratio(graph),
         Fraction(graph.total_latency(), machine.processors),

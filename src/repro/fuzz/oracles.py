@@ -11,7 +11,7 @@ checked against four independent notions of "correct":
     (:func:`repro.sim.steady.period_graph`), compared with the
     promise as a ``Fraction``; on one case in 16 (by seed) the
     simulated makespan must also grow by exactly that rate.
-    Components the rate claim does not cover (see
+    On the same sample, components the rate claim does not cover (see
     :func:`_part_window`) get their rate computed too and are counted
     in ``fuzz.steady_rate.out_of_claim`` registry counters instead.
 ``dataflow``
@@ -41,15 +41,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from fractions import Fraction
+from typing import Any, Callable, Iterable
 
 from repro.errors import ReproError
 from repro.fuzz.generators import FuzzCase, behavior_signature
 from repro.machine.comm import FluctuatingComm
 from repro.obs.metrics import labeled, registry
-
-if TYPE_CHECKING:  # fractions imports decimal: loaded on first use
-    from fractions import Fraction
 
 __all__ = [
     "ORACLE_NAMES",
@@ -181,8 +179,6 @@ def _part_window(part) -> tuple[int, str | None]:
 
 def _promise(part, window: int) -> Fraction:
     """The closed-form rate, in cycles per ``window`` iterations."""
-    from fractions import Fraction
-
     pattern = part.pattern
     if pattern is not None:
         return Fraction(pattern.period * window, pattern.iter_shift)
@@ -198,6 +194,7 @@ def _settled(part) -> int:
 
 
 #: one case in this many (by seed) also checks the rate by simulation
+#: and rates the parts outside the claim
 _SIMULATED_ONE_IN = 16
 
 #: aligned windows, times the cyclicity, the simulation spans
@@ -237,27 +234,44 @@ def _check_slope(part, comm, pg, rate: Fraction, m: int) -> None:
     )
 
 
+def _count_out_of_claim(part, comm, m: int, shape: str) -> None:
+    """Count a part outside the claim by whether its exact rate exceeds
+    the promise, or as ``over_promise=error`` when the rate cannot be
+    computed (say, a program that is not periodic): the claim does not
+    cover such a part, so neither outcome is a finding."""
+    from repro.sim.steady import steady_rate
+
+    try:
+        rate = steady_rate(
+            part.graph, part.program, m, comm, start=_settled(part)
+        )
+    except ReproError:
+        over: bool | str = "error"
+    else:
+        over = rate > _promise(part, m)
+    registry().counter(
+        labeled(
+            "fuzz.steady_rate.out_of_claim", shape=shape, over_promise=over
+        )
+    ).inc()
+
+
 def _oracle_steady_rate(case: FuzzCase, scheduled) -> None:
     from repro.sim.steady import period_graph
 
     comm = case.machine().comm
-    simulate = case.seed % _SIMULATED_ONE_IN == 0
+    sampled = case.seed % _SIMULATED_ONE_IN == 0
     for part in _parts(scheduled):
         m, shape = _part_window(part)
+        if shape is not None:
+            if sampled:
+                _count_out_of_claim(part, comm, m, shape)
+            continue
         promise = _promise(part, m)
         pg = period_graph(
             part.graph, part.program, m, comm, start=_settled(part)
         )
         rate = pg.rate()
-        if shape is not None:
-            registry().counter(
-                labeled(
-                    "fuzz.steady_rate.out_of_claim",
-                    shape=shape,
-                    over_promise=rate > promise,
-                )
-            ).inc()
-            continue
         # The closed-form rate is the scheduler's *promise*: the
         # program must not run slower.  It may run faster — ASAP replay
         # of the emitted program can compress slack the greedy pattern
@@ -268,7 +282,7 @@ def _oracle_steady_rate(case: FuzzCase, scheduled) -> None:
                 f"promises {promise} cycles per {m} iterations, the "
                 f"program's exact steady rate is {rate}"
             )
-        if simulate:
+        if sampled:
             _check_slope(part, comm, pg, rate, m)
 
 

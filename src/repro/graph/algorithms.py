@@ -16,14 +16,12 @@ Two views of the graph appear throughout:
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from repro.errors import GraphError
 from repro.graph.ddg import DependenceGraph
-
-if TYPE_CHECKING:  # fractions imports decimal: loaded on first use
-    from fractions import Fraction
 
 __all__ = [
     "topological_order",
@@ -240,10 +238,7 @@ HOWARD_MAX_ROUNDS = 10_000
 
 
 def max_cycle_ratio(
-    n: int,
-    edges: Iterable[tuple[int, int, int, int]],
-    *,
-    max_rounds: int = HOWARD_MAX_ROUNDS,
+    n: int, edges: Iterable[tuple[int, int, int, int]]
 ) -> Fraction:
     """``max over cycles C of weight(C) / transit(C)``, exactly.
 
@@ -267,9 +262,12 @@ def max_cycle_ratio(
     Nodes that reach no cycle are ignored.  Raises
     :class:`~repro.errors.GraphError` when the graph has no cycle, when
     a policy cycle has transit <= 0 (for an emitted program: a
-    deadlock), or after ``max_rounds`` rounds without convergence.
+    deadlock), or after :data:`HOWARD_MAX_ROUNDS` rounds without
+    convergence.  With positive weights any cycle of transit <= 0
+    raises: summed round it, the converged values would need its
+    weight to be <= 0, so no policy converges past it.
     """
-    return _howard(n, edges, max_rounds).ratio
+    return _howard(n, edges).ratio
 
 
 class _Policy(NamedTuple):
@@ -284,9 +282,7 @@ class _Policy(NamedTuple):
     x: list[int]
 
 
-def _howard(
-    n: int, edges: Iterable[tuple[int, int, int, int]], max_rounds: int
-) -> _Policy:
+def _howard(n: int, edges: Iterable[tuple[int, int, int, int]]) -> _Policy:
     out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for u, v, w, t in edges:
         out[u].append((v, w, t))
@@ -308,7 +304,7 @@ def _howard(
     eta_t = [1] * n
     x = [0] * n
 
-    for _ in range(max_rounds):
+    for _ in range(HOWARD_MAX_ROUNDS):
         # -- value determination ---------------------------------------
         state = [0] * n  # 0 unseen, 1 on the current walk, 2 valued
         for s in live:
@@ -381,11 +377,9 @@ def _howard(
             for u in live:
                 if eta_w[u] * bt > bw * eta_t[u]:
                     bw, bt = eta_w[u], eta_t[u]
-            from fractions import Fraction
-
             return _Policy(Fraction(bw, bt), out, live, eta_w, eta_t, x)
     raise GraphError(
-        f"max_cycle_ratio: no convergence in {max_rounds} rounds "
+        f"max_cycle_ratio: no convergence in {HOWARD_MAX_ROUNDS} rounds "
         f"({len(live)} nodes)"
     )
 
@@ -428,7 +422,7 @@ def critical_cyclicity(
     graph, past a transient, every event recurs ``σ·λ`` later every
     ``σ`` transits — but not necessarily ``λ`` later every transit.
     """
-    policy = _howard(n, edges, HOWARD_MAX_ROUNDS)
+    policy = _howard(n, edges)
     lam, x = policy.ratio, policy.x
     big_w, big_t = lam.numerator, lam.denominator
     # critical edges: tight under the converged values, between nodes
@@ -482,8 +476,6 @@ def recurrence_ratio(graph: DependenceGraph) -> Fraction:
             comp[name] = c
             slot[name] = len(slot)
     if not slot:
-        from fractions import Fraction
-
         return Fraction(0)
     edges = [
         (slot[e.src], slot[e.dst], graph.latency(e.src), e.distance)

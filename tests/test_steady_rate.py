@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given
 
 from repro._types import Op
-from repro.core.scheduler import schedule_loop
+from repro.core.scheduler import ScheduledLoop, schedule_loop
 from repro.errors import GraphError, SimulationError
 from repro.fuzz import oracles
 from repro.fuzz.campaign import case_seed
 from repro.fuzz.corpus import load_corpus
 from repro.fuzz.generators import generate_case
+from repro.graph import algorithms
 from repro.graph.algorithms import (
     critical_cyclicity,
     critical_recurrence_ratio,
@@ -30,6 +31,7 @@ from repro.graph.ddg import DependenceGraph
 from repro.machine.comm import UniformComm
 from repro.machine.model import Machine
 from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.sim import steady
 from repro.sim.steady import period_graph, steady_rate
 from repro.workloads import paper_seeds, random_cyclic_loop
 
@@ -70,7 +72,9 @@ MESH_TIES = (
 # Howard against brute force
 # ----------------------------------------------------------------------
 def brute_force_ratio(n: int, edges) -> Fraction | None:
-    """Best ratio over networkx's elementary cycles (no parallel edges)."""
+    """Best ratio over networkx's elementary cycles (no parallel edges);
+    ``None`` without a cycle, and raises ``ZeroDivisionError`` when a
+    cycle has transit <= 0."""
     g = nx.DiGraph()
     g.add_nodes_from(range(n))
     for u, v, w, t in edges:
@@ -79,7 +83,10 @@ def brute_force_ratio(n: int, edges) -> Fraction | None:
     for cycle in nx.simple_cycles(g):
         hops = [g.edges[u, cycle[(i + 1) % len(cycle)]]
                 for i, u in enumerate(cycle)]
-        ratio = Fraction(sum(h["w"] for h in hops), sum(h["t"] for h in hops))
+        transit = sum(h["t"] for h in hops)
+        if transit <= 0:
+            raise ZeroDivisionError(f"cycle {cycle} has transit {transit}")
+        ratio = Fraction(sum(h["w"] for h in hops), transit)
         if best is None or ratio > best:
             best = ratio
     return best
@@ -116,6 +123,24 @@ class TestMaxCycleRatio:
         n, edges = graph
         expected = brute_force_ratio(n, edges)
         if expected is not None:
+            assert max_cycle_ratio(n, edges) == expected
+
+    @given(ratio_graphs(weights=st.integers(1, 9),
+                        transits=st.integers(-2, 3)))
+    def test_cycle_without_positive_transit_raises(self, graph):
+        """Positive weights, as in every period graph: a cycle of
+        transit <= 0 anywhere raises, not only one Howard starts on."""
+        n, edges = graph
+        try:
+            expected = brute_force_ratio(n, edges)
+        except ZeroDivisionError:
+            with pytest.raises(GraphError, match="transit"):
+                max_cycle_ratio(n, edges)
+            return
+        if expected is None:
+            with pytest.raises(GraphError, match="no cycle"):
+                max_cycle_ratio(n, edges)
+        else:
             assert max_cycle_ratio(n, edges) == expected
 
     def test_mesh_with_tied_critical_cycles_terminates(self):
@@ -155,17 +180,18 @@ class TestMaxCycleRatio:
         assert max_cycle_ratio(3, edges) == Fraction(3, 2)
 
     @pytest.mark.parametrize("transit", [0, -1])
-    def test_cycle_without_positive_transit_raises(self, transit):
+    def test_policy_cycle_without_positive_transit_raises(self, transit):
         with pytest.raises(GraphError, match="transit"):
             max_cycle_ratio(2, [(0, 1, 1, 0), (1, 0, 1, transit)])
 
-    def test_round_cap_raises(self):
+    def test_round_cap_raises(self, monkeypatch):
         # the heaviest out-edge of 0 is its self-loop (ratio 3/2); the
         # 0 -> 1 -> 0 cycle (ratio 2) takes a second round to find
         edges = [(0, 0, 3, 2), (0, 1, 2, 1), (1, 0, 2, 1)]
         assert max_cycle_ratio(2, edges) == 2
+        monkeypatch.setattr(algorithms, "HOWARD_MAX_ROUNDS", 1)
         with pytest.raises(GraphError, match="no convergence in 1 rounds"):
-            max_cycle_ratio(2, edges, max_rounds=1)
+            max_cycle_ratio(2, edges)
 
 
 class TestRecurrenceRatio:
@@ -361,28 +387,66 @@ class TestOracle:
                 simulated.append(seed)
         assert simulated == [0, 16, 32]
 
-    @pytest.mark.parametrize(
-        "pattern, seed, shape",
-        [
-            ("mesh", 0, "doall_carried"),
-            ("multi_statement", 0, "folded"),
-            ("mesh", 3, "noncyclic_carried"),
-            ("mesh", 106, "window_cap"),
-        ],
-    )
-    def test_out_of_claim_parts_are_counted(self, pattern, seed, shape):
+    @staticmethod
+    def out_of_claim_counters(case) -> tuple[bool, dict[str, int]]:
         reg = MetricsRegistry()
         previous = set_registry(reg)
         try:
-            outcome = oracles.run_oracles(
-                generate_case(pattern, seed), oracles=("steady_rate",)
-            )
+            outcome = oracles.run_oracles(case, oracles=("steady_rate",))
         finally:
             set_registry(previous)
-        assert outcome.ok
         counted = {
             name: value
             for name, value in reg.snapshot()["counters"].items()
             if name.startswith("fuzz.steady_rate.out_of_claim")
         }
+        return outcome.ok, counted
+
+    @pytest.mark.parametrize(
+        "pattern, seed, shape",
+        [
+            ("mesh", 0, "doall_carried"),
+            ("multi_statement", 0, "folded"),
+            ("mesh", 192, "noncyclic_carried"),
+        ],
+    )
+    def test_out_of_claim_parts_are_counted(self, pattern, seed, shape):
+        ok, counted = self.out_of_claim_counters(generate_case(pattern, seed))
+        assert ok
         assert any(f"shape={shape}" in name for name in counted), counted
+
+    def test_window_cap_part_is_counted_on_the_sample(self, monkeypatch):
+        case = generate_case("mesh", 106)
+        assert self.out_of_claim_counters(case) == (True, {})
+        monkeypatch.setattr(oracles, "_SIMULATED_ONE_IN", 1)
+        ok, counted = self.out_of_claim_counters(case)
+        assert ok
+        assert any("shape=window_cap" in name for name in counted), counted
+
+    def test_out_of_claim_part_without_a_period_is_counted(
+        self, monkeypatch
+    ):
+        """A folded part whose program never settles (Thue-Morse
+        placement, as above) is counted as an error, not a failure."""
+        program = ScheduledLoop.program
+
+        def thue_morse(self, n):
+            rows = program(self, n)
+            if self.plan is None or self.plan.fold_into is None:
+                return rows
+            ops = sorted((op for row in rows for op in row),
+                         key=lambda op: op.iteration)
+            out = [[] for _ in rows]
+            for op in ops:
+                out[bin(op.iteration).count("1") % len(out)].append(op)
+            return out
+
+        monkeypatch.setattr(ScheduledLoop, "program", thue_morse)
+        monkeypatch.setattr(steady, "MAX_START", 16)
+        ok, counted = self.out_of_claim_counters(
+            generate_case("multi_statement", 0)
+        )
+        assert ok
+        assert counted == {
+            "fuzz.steady_rate.out_of_claim{over_promise=error,shape=folded}": 1
+        }
